@@ -41,9 +41,8 @@ use supersym::analyze::{
     LoopCount, OracleKind, Subscript,
 };
 use supersym::experiments::measure_bound;
-use supersym::isa::{ClassCensus, InstrClass};
-use supersym::machine::GridSpec;
-use supersym::machine::{parse_machine_spec, presets, MachineConfig};
+use supersym::isa::{ClassCensus, InstrClass, Program};
+use supersym::machine::{parse_degree, parse_machine_spec, presets, GridSpec, MachineConfig};
 use supersym::opt::UnrollOptions;
 use supersym::rules::{synthesize, SynthConfig, DEFAULT_TABLE_TEXT};
 use supersym::sim::{
@@ -80,34 +79,12 @@ const EXIT_VERIFY: u8 = 3;
 /// Exit code for simulation (runtime) errors.
 const EXIT_SIM: u8 = 4;
 
-struct Args {
-    source_path: Option<String>,
-    machine: Option<String>,
-    opt: OptLevel,
-    unroll: Option<UnrollOptions>,
-    dump: bool,
-    cache: bool,
-    list_machines: bool,
-    lint: bool,
-    analyze: bool,
-    certify: bool,
-    profile: bool,
-    stats: bool,
-    bound: bool,
-    loops: bool,
-    json: bool,
-    trace: Option<String>,
-    timeline: Option<String>,
-    verify: bool,
-    oracle: OracleKind,
-}
-
 const USAGE: &str = "\
 titalc — compile and simulate Tital programs (supersym)
 
 USAGE:
     titalc [OPTIONS] <FILE>
-    titalc lint [OPTIONS] <FILE>
+    titalc lint [-m <NAME>] <FILE>
     titalc analyze [--loops] [--json] <FILE>
     titalc certify [OPTIONS] <FILE>
     titalc profile [OPTIONS] <FILE>
@@ -119,9 +96,16 @@ USAGE:
     titalc bench-diff [--threshold <PCT>] [--only <PREFIX>] <OLD.json> <NEW.json>
 
 OPTIONS:
-    -m, --machine <NAME>     machine preset (default: base); see --machines
-    -O<N>                    optimization level 0..4 (default: 4)
-        --unroll <KIND:N>    loop unrolling: naive:N or careful:N
+    Each subcommand accepts the options its section below names; any
+    other option is a usage error.
+    -m, --machine <NAME>     machine preset (default: base); see --machines.
+                             Degrees share the `sweep --grid` bounds:
+                             superscalar:<n> takes n in 1..=64, and
+                             superpipelined:<m> takes m in 1..=16
+    -O<N>                    optimization level 0..4 (default: 4; bare -O
+                             is -O4)
+        --unroll <KIND:N>    loop unrolling: naive:N or careful:N, with N
+                             in 1..=64
         --dump               print the scheduled assembly instead of running
         --cache              also simulate 8KiB split I/D caches
         --verify             run the static verifier on the compiled output
@@ -147,6 +131,7 @@ PROFILE:
                              compile-phase spans, one span per dynamic
                              instruction on its functional unit's lane,
                              and ipc/inflight counter tracks
+    Also accepts -m, -O<N>, --unroll, --oracle, --verify and --trace.
     Uses the same compile/run exit codes as plain `titalc`.
 
 STATS:
@@ -155,7 +140,7 @@ STATS:
     registry of counters, gauges and log2-bucket histograms — compile
     phase counters, the stall-run-length and per-block ILP distributions,
     and the run's headline numbers — plus the per-phase wall times.
-    Accepts the same options as plain `titalc`.
+    Accepts -m, -O<N>, --unroll, --oracle and --verify.
 
 LINT:
     `titalc lint` statically checks a file and exits nonzero on errors.
@@ -166,7 +151,7 @@ LINT:
     documents (trace_event invariants: monotone timestamps per lane,
     matched begin/end pairs, stable lane naming); anything else is parsed
     as assembly and checked with the program lint (pass -m to also check
-    register-split conformance).
+    register-split conformance). Accepts -m only.
 
 ANALYZE:
     `titalc analyze` lowers a Tital source file to IR, prints every
@@ -192,6 +177,7 @@ BOUND:
     an internal-consistency failure and exits with code 3.
         --json               emit one JSON document (schema
                              supersym.bound/v1) instead of tables
+    Also accepts -m, -O<N>, --unroll, --oracle and --verify.
 
 CERTIFY:
     `titalc certify` compiles with per-pass translation validation: the
@@ -199,8 +185,8 @@ CERTIFY:
     is re-proven equivalent, structurally (symbolic per-block summaries)
     or differentially (a fuel-bounded IR executor compares return value,
     final global state and call count). Prints one line per pass run and
-    exits with code 3 if any pass cannot be certified. Accepts the same
-    -m/-O/--unroll/--oracle options as plain `titalc`.
+    exits with code 3 if any pass cannot be certified. Accepts -m, -O<N>,
+    --unroll, --oracle and --verify.
 
 SYNTH:
     `titalc synth` re-runs verified rewrite-rule synthesis (enumerate,
@@ -282,187 +268,401 @@ EXIT CODES:
          output file (--trace, --timeline, --out, --checkpoint, --cache)
 ";
 
-fn parse_machine(name: &str) -> Option<MachineConfig> {
-    if let Some(rest) = name.strip_prefix("superscalar:") {
-        return rest.parse().ok().map(presets::ideal_superscalar);
+/// Every option value, parsed once to its typed, range-checked form. The
+/// flag table fills it; which fields a [`Command`] reads depends on the
+/// subcommand, and the table lets each subcommand set only those. A
+/// numeric option left unset takes its default where it is used.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Opts {
+    machine: Option<MachineConfig>,
+    opt: OptLevel,
+    oracle: OracleKind,
+    unroll: Option<UnrollOptions>,
+    verify: bool,
+    dump: bool,
+    cache: bool,
+    machines: bool,
+    loops: bool,
+    json: bool,
+    trace: Option<String>,
+    timeline: Option<String>,
+    check: bool,
+    seed: u64,
+    iters: Option<u64>,
+    layers: Vec<Layer>,
+    corpus: Option<String>,
+    replay: Option<String>,
+    grid: Option<GridSpec>,
+    workloads: Option<Vec<String>>,
+    jobs: Option<usize>,
+    fuel: Option<u64>,
+    checkpoint: Option<String>,
+    resume: bool,
+    out: Option<String>,
+    cache_file: Option<String>,
+    deadline_ms: Option<u64>,
+    inject: FaultInjection,
+    threshold: Option<f64>,
+    only: Option<String>,
+}
+
+impl Opts {
+    /// The compile options of `-m`/`-O`/`--oracle`/`--verify`/`--unroll`
+    /// (the machine defaults to `base`).
+    fn compile_options(&self) -> CompileOptions {
+        let machine = self.machine.clone().unwrap_or_else(presets::base);
+        let mut options = CompileOptions::new(self.opt, &machine).with_oracle(self.oracle);
+        if self.verify {
+            options = options.with_verify(true);
+        }
+        if let Some(unroll) = self.unroll {
+            options = options.with_unroll(unroll);
+        }
+        options
     }
-    if let Some(rest) = name.strip_prefix("superpipelined:") {
-        return rest.parse().ok().map(presets::superpipelined);
+}
+
+/// What one `titalc` invocation asks for.
+#[derive(Debug, PartialEq)]
+enum Command {
+    Help,
+    Machines,
+    Run(String, Opts),
+    Lint(String, Opts),
+    Analyze(String, Opts),
+    Certify(String, Opts),
+    Profile(String, Opts),
+    Stats(String, Opts),
+    /// Without a FILE, the suite sweep over the preset list.
+    Bound(Option<String>, Opts),
+    Torture(Opts),
+    Synth(Opts),
+    Sweep(GridSpec, Opts),
+    BenchDiff([String; 2], Opts),
+}
+
+/// The paper's machine presets, the one list behind `-m`, `--machines`
+/// and the `bound` suite sweep: (spelling, description, constructor, the
+/// degrees the `bound` suite instantiates). `<n>` in a spelling takes an
+/// issue width and `<m>` a superpipelining degree, checked against the
+/// `sweep --grid` bounds.
+type Machine = (
+    &'static str,
+    &'static str,
+    fn(&[u32]) -> MachineConfig,
+    &'static [&'static [u32]],
+);
+
+#[rustfmt::skip]
+const MACHINES: &[Machine] = &[
+    ("base", "one instruction/cycle, unit latencies", |_| presets::base(), &[&[]]),
+    ("multititan", "MultiTitan latency model (avg superpipelining 1.7)",
+     |_| presets::multititan(), &[&[]]),
+    ("cray1", "CRAY-1 latency model (avg superpipelining 4.4)", |_| presets::cray1(), &[&[]]),
+    ("vliw:<n>", "n-wide VLIW (taken branches break the issue group)",
+     |d| presets::vliw(d[0]), &[&[4]]),
+    ("superscalar:<n>", "ideal degree-n superscalar",
+     |d| presets::ideal_superscalar(d[0]), &[&[2], &[8]]),
+    ("superpipelined:<m>", "degree-m superpipelined", |d| presets::superpipelined(d[0]), &[&[4]]),
+    ("ssp:<n>:<m>", "superpipelined superscalar",
+     |d| presets::superpipelined_superscalar(d[0], d[1]), &[&[2, 2]]),
+    ("conflicts:<n>", "degree-n superscalar with shared functional units",
+     |d| presets::superscalar_with_class_conflicts(d[0]), &[&[4]]),
+    ("slowcycle", "underpipelined: doubled latencies, slower clock",
+     |_| presets::underpipelined_slow_cycle(), &[&[]]),
+    ("underpipelined", "issues every other cycle", |_| presets::underpipelined_half_issue(), &[&[]]),
+];
+
+/// Resolves a `-m` name such as `cray1` or `ssp:2:4` through [`MACHINES`].
+fn parse_machine(name: &str) -> Result<MachineConfig, String> {
+    let unknown = || format!("unknown machine `{name}` (try --machines)");
+    let mut given = name.split(':');
+    let head = given.next().unwrap_or_default();
+    let (spelling, _, build, _) = MACHINES
+        .iter()
+        .find(|(spelling, ..)| spelling.split(':').next() == Some(head))
+        .ok_or_else(unknown)?;
+    let params: Vec<&str> = spelling.split(':').skip(1).collect();
+    let values: Vec<&str> = given.collect();
+    if params.len() != values.len() {
+        return Err(unknown());
     }
-    if let Some(rest) = name.strip_prefix("conflicts:") {
-        return rest
+    let degrees = params
+        .iter()
+        .zip(values)
+        .map(|(&param, value)| {
+            let axis = if param == "<m>" { "pipe" } else { "issue" };
+            parse_degree(axis, value).map_err(|error| format!("machine `{name}`: {error}"))
+        })
+        .collect::<Result<Vec<u32>, String>>()?;
+    Ok(build(&degrees))
+}
+
+/// The largest `--unroll` factor (the paper's studies stop at 10).
+const MAX_UNROLL: usize = 64;
+
+/// Parses `--unroll KIND:N`.
+fn parse_unroll(spec: &str) -> Result<UnrollOptions, String> {
+    let (kind, factor) = spec.split_once(':').ok_or("spec must be KIND:N")?;
+    let factor = factor
+        .parse()
+        .ok()
+        .filter(|n| (1..=MAX_UNROLL).contains(n))
+        .ok_or_else(|| format!("factor `{factor}` is outside 1..={MAX_UNROLL}"))?;
+    match kind {
+        "naive" => Ok(UnrollOptions::naive(factor)),
+        "careful" => Ok(UnrollOptions::careful(factor)),
+        other => Err(format!("unknown unroll kind `{other}`")),
+    }
+}
+
+/// Parses the level glued to `-O`; a bare `-O` is `-O4`.
+fn parse_opt_level(level: &str) -> Result<OptLevel, String> {
+    match level {
+        "0" => Ok(OptLevel::O0),
+        "1" => Ok(OptLevel::O1),
+        "2" => Ok(OptLevel::O2),
+        "3" => Ok(OptLevel::O3),
+        "4" | "" => Ok(OptLevel::O4),
+        other => Err(format!("unknown optimization level `{other}`")),
+    }
+}
+
+fn parse_oracle(kind: &str) -> Result<OracleKind, String> {
+    match kind {
+        "symbolic" => Ok(OracleKind::Symbolic),
+        "conservative" => Ok(OracleKind::Conservative),
+        other => Err(format!("unknown oracle `{other}`")),
+    }
+}
+
+/// Parses `--inject panic:K,timeout:J`.
+fn parse_inject(spec: &str) -> Result<FaultInjection, String> {
+    let mut inject = FaultInjection::default();
+    for part in spec.split(',') {
+        let (kind, every) = part
+            .split_once(':')
+            .ok_or_else(|| format!("inject spec `{part}` must be kind:N"))?;
+        let every: u64 = every
             .parse()
-            .ok()
-            .map(presets::superscalar_with_class_conflicts);
+            .map_err(|_| format!("bad inject period `{every}`"))?;
+        match kind {
+            "panic" => inject.panic_every = Some(every),
+            "timeout" => inject.timeout_every = Some(every),
+            other => return Err(format!("unknown inject kind `{other}`")),
+        }
     }
-    if let Some(rest) = name.strip_prefix("ssp:") {
-        let (n, m) = rest.split_once(':')?;
-        return Some(presets::superpipelined_superscalar(
-            n.parse().ok()?,
-            m.parse().ok()?,
-        ));
-    }
-    if let Some(rest) = name.strip_prefix("vliw:") {
-        return rest.parse().ok().map(presets::vliw);
-    }
-    match name {
-        "base" => Some(presets::base()),
-        "multititan" => Some(presets::multititan()),
-        "cray1" => Some(presets::cray1()),
-        "underpipelined" => Some(presets::underpipelined_half_issue()),
-        "slowcycle" => Some(presets::underpipelined_slow_cycle()),
-        _ => None,
+    Ok(inject)
+}
+
+fn number<T: std::str::FromStr>(text: &str) -> Result<T, String> {
+    text.parse()
+        .map_err(|_| format!("`{text}` is not an unsigned integer"))
+}
+
+fn positive<T: std::str::FromStr + PartialOrd + Default>(text: &str) -> Result<T, String> {
+    match text.parse() {
+        Ok(value) if value > T::default() => Ok(value),
+        _ => Err(format!("`{text}` is not a positive number")),
     }
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        source_path: None,
-        machine: None,
-        opt: OptLevel::O4,
-        unroll: None,
-        dump: false,
-        cache: false,
-        list_machines: false,
-        lint: false,
-        analyze: false,
-        certify: false,
-        profile: false,
-        stats: false,
-        bound: false,
-        loops: false,
-        json: false,
-        trace: None,
-        timeline: None,
-        verify: false,
-        oracle: OracleKind::default(),
-    };
-    let mut iter = std::env::args().skip(1).peekable();
-    match iter.peek().map(String::as_str) {
-        Some("lint") => {
-            args.lint = true;
-            iter.next();
-        }
-        Some("analyze") => {
-            args.analyze = true;
-            iter.next();
-        }
-        Some("certify") => {
-            args.certify = true;
-            iter.next();
-        }
-        Some("profile") => {
-            args.profile = true;
-            iter.next();
-        }
-        Some("stats") => {
-            args.stats = true;
-            iter.next();
-        }
-        Some("bound") => {
-            args.bound = true;
-            iter.next();
-        }
-        _ => {}
-    }
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "-h" | "--help" => return Err(USAGE.to_string()),
-            "--machines" => args.list_machines = true,
-            "--dump" => args.dump = true,
-            "--loops" => args.loops = true,
-            "--cache" => args.cache = true,
-            "--verify" => args.verify = true,
-            "--json" => args.json = true,
-            "--trace" => {
-                args.trace = Some(iter.next().ok_or("missing trace file path")?);
-            }
-            "--timeline" => {
-                args.timeline = Some(iter.next().ok_or("missing timeline file path")?);
-            }
-            "-m" | "--machine" => {
-                args.machine = Some(iter.next().ok_or("missing machine name")?);
-            }
-            "--oracle" => {
-                args.oracle = match iter.next().ok_or("missing oracle kind")?.as_str() {
-                    "symbolic" => OracleKind::Symbolic,
-                    "conservative" => OracleKind::Conservative,
-                    other => return Err(format!("unknown oracle `{other}`")),
-                };
-            }
-            "--unroll" => {
-                let spec = iter.next().ok_or("missing unroll spec")?;
-                let (kind, factor) = spec
-                    .split_once(':')
-                    .ok_or("unroll spec must be kind:factor")?;
-                let factor: usize = factor.parse().map_err(|_| "bad unroll factor")?;
-                args.unroll = Some(match kind {
-                    "naive" => UnrollOptions::naive(factor),
-                    "careful" => UnrollOptions::careful(factor),
-                    other => return Err(format!("unknown unroll kind `{other}`")),
-                });
-            }
-            level if level.starts_with("-O") => {
-                args.opt = match &level[2..] {
-                    "0" => OptLevel::O0,
-                    "1" => OptLevel::O1,
-                    "2" => OptLevel::O2,
-                    "3" => OptLevel::O3,
-                    "4" | "" => OptLevel::O4,
-                    other => return Err(format!("unknown optimization level `{other}`")),
-                };
-            }
-            path if !path.starts_with('-') => args.source_path = Some(path.to_string()),
-            other => return Err(format!("unknown option `{other}`\n\n{USAGE}")),
-        }
-    }
-    Ok(args)
+/// Stores a parsed flag value (the flag table's `apply` shape).
+fn set<T>(slot: &mut T, value: T) -> Result<(), String> {
+    *slot = value;
+    Ok(())
 }
 
-/// `titalc torture`: parse the subcommand's own flags and run a campaign
-/// (or a corpus replay). Exits 0 when the robustness contract held,
-/// `EXIT_VERIFY` when any mutant produced a finding.
-fn run_torture_cmd(argv: &[String]) -> ExitCode {
-    let mut seed = 0_u64;
-    let mut iters = 500_u64;
-    let mut layers: Vec<Layer> = Vec::new();
-    let mut corpus: Option<String> = None;
-    let mut replay: Option<String> = None;
-    let usage = |message: String| -> ExitCode {
-        eprintln!("titalc torture: {message}\n\n{USAGE}");
-        ExitCode::from(EXIT_USAGE)
+/// How a flag takes its value.
+#[derive(Clone, Copy)]
+enum Arity {
+    /// A bare switch: `--dump`.
+    Switch,
+    /// The next argument: `--grid SPEC`.
+    Next,
+    /// Glued to the flag: `-O2` (a bare `-O` passes the empty string).
+    Glued,
+}
+
+/// One flag: its spellings, how it takes a value, the subcommands that
+/// accept it (`""` is plain `titalc`), and how its value lands in [`Opts`].
+struct Flag {
+    names: &'static [&'static str],
+    arity: Arity,
+    subcommands: &'static [&'static str],
+    apply: fn(&mut Opts, &str) -> Result<(), String>,
+}
+
+const SUBCOMMANDS: [&str; 10] = [
+    "lint",
+    "analyze",
+    "certify",
+    "profile",
+    "stats",
+    "bound",
+    "torture",
+    "synth",
+    "sweep",
+    "bench-diff",
+];
+
+/// The subcommands that compile one program for one machine.
+const COMPILING: &[&str] = &["", "certify", "profile", "stats", "bound"];
+/// The compiling subcommands plus `sweep`, which compiles for every cell.
+const TUNING: &[&str] = &["", "certify", "profile", "stats", "bound", "sweep"];
+
+/// The whole command line, one row per flag. `-h`/`--help` is accepted
+/// everywhere and handled by [`parse_args`] itself.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { names: &["-m", "--machine"], arity: Arity::Next,
+           subcommands: &["", "lint", "certify", "profile", "stats", "bound"],
+           apply: |o, v| set(&mut o.machine, Some(parse_machine(v)?)) },
+    Flag { names: &["-O"], arity: Arity::Glued, subcommands: TUNING,
+           apply: |o, v| set(&mut o.opt, parse_opt_level(v)?) },
+    Flag { names: &["--oracle"], arity: Arity::Next, subcommands: TUNING,
+           apply: |o, v| set(&mut o.oracle, parse_oracle(v)?) },
+    Flag { names: &["--verify"], arity: Arity::Switch, subcommands: TUNING,
+           apply: |o, _| set(&mut o.verify, true) },
+    Flag { names: &["--unroll"], arity: Arity::Next, subcommands: COMPILING,
+           apply: |o, v| set(&mut o.unroll, Some(parse_unroll(v)?)) },
+    Flag { names: &["--dump"], arity: Arity::Switch, subcommands: &[""],
+           apply: |o, _| set(&mut o.dump, true) },
+    Flag { names: &["--cache"], arity: Arity::Switch, subcommands: &[""],
+           apply: |o, _| set(&mut o.cache, true) },
+    Flag { names: &["--machines"], arity: Arity::Switch, subcommands: &[""],
+           apply: |o, _| set(&mut o.machines, true) },
+    Flag { names: &["--trace"], arity: Arity::Next, subcommands: &["", "profile"],
+           apply: |o, v| set(&mut o.trace, Some(v.into())) },
+    Flag { names: &["--json"], arity: Arity::Switch, subcommands: &["analyze", "profile", "bound"],
+           apply: |o, _| set(&mut o.json, true) },
+    Flag { names: &["--loops"], arity: Arity::Switch, subcommands: &["analyze"],
+           apply: |o, _| set(&mut o.loops, true) },
+    Flag { names: &["--timeline"], arity: Arity::Next, subcommands: &["profile", "sweep"],
+           apply: |o, v| set(&mut o.timeline, Some(v.into())) },
+    Flag { names: &["--check"], arity: Arity::Switch, subcommands: &["synth"],
+           apply: |o, _| set(&mut o.check, true) },
+    Flag { names: &["--seed"], arity: Arity::Next, subcommands: &["torture"],
+           apply: |o, v| set(&mut o.seed, number(v)?) },
+    Flag { names: &["--iters"], arity: Arity::Next, subcommands: &["torture"],
+           apply: |o, v| set(&mut o.iters, Some(number(v)?)) },
+    Flag { names: &["--layer"], arity: Arity::Next, subcommands: &["torture"],
+           apply: |o, v| {
+               o.layers.push(Layer::parse(v).ok_or("must be source|ast|asm|machine|grid")?);
+               Ok(())
+           } },
+    Flag { names: &["--corpus"], arity: Arity::Next, subcommands: &["torture"],
+           apply: |o, v| set(&mut o.corpus, Some(v.into())) },
+    Flag { names: &["--replay"], arity: Arity::Next, subcommands: &["torture"],
+           apply: |o, v| set(&mut o.replay, Some(v.into())) },
+    Flag { names: &["--grid"], arity: Arity::Next, subcommands: &["sweep"],
+           apply: |o, v| set(&mut o.grid, Some(GridSpec::parse(v).map_err(|e| e.to_string())?)) },
+    Flag { names: &["--workloads"], arity: Arity::Next, subcommands: &["sweep"],
+           apply: |o, v| set(&mut o.workloads, (v != "all").then(|| v.split(',').map(String::from).collect())) },
+    Flag { names: &["--jobs"], arity: Arity::Next, subcommands: &["sweep"],
+           apply: |o, v| set(&mut o.jobs, Some(positive(v)?)) },
+    Flag { names: &["--fuel"], arity: Arity::Next, subcommands: &["sweep"],
+           apply: |o, v| set(&mut o.fuel, Some(positive(v)?)) },
+    Flag { names: &["--checkpoint"], arity: Arity::Next, subcommands: &["sweep"],
+           apply: |o, v| set(&mut o.checkpoint, Some(v.into())) },
+    Flag { names: &["--resume"], arity: Arity::Next, subcommands: &["sweep"],
+           apply: |o, v| { o.resume = true; set(&mut o.checkpoint, Some(v.into())) } },
+    Flag { names: &["--out"], arity: Arity::Next, subcommands: &["sweep"],
+           apply: |o, v| set(&mut o.out, Some(v.into())) },
+    Flag { names: &["--cache"], arity: Arity::Next, subcommands: &["sweep"],
+           apply: |o, v| set(&mut o.cache_file, Some(v.into())) },
+    Flag { names: &["--deadline-ms"], arity: Arity::Next, subcommands: &["sweep"],
+           apply: |o, v| set(&mut o.deadline_ms, Some(positive(v)?)) },
+    Flag { names: &["--inject"], arity: Arity::Next, subcommands: &["sweep"],
+           apply: |o, v| set(&mut o.inject, parse_inject(v)?) },
+    Flag { names: &["--threshold"], arity: Arity::Next, subcommands: &["bench-diff"],
+           apply: |o, v| set(&mut o.threshold, Some(positive(v)?)) },
+    Flag { names: &["--only"], arity: Arity::Next, subcommands: &["bench-diff"],
+           apply: |o, v| set(&mut o.only, Some(v.into())) },
+];
+
+/// The one argv parser: picks the subcommand, runs every flag through
+/// [`FLAGS`], then checks the positional arguments the subcommand needs.
+fn parse_args(argv: &[String]) -> Result<Command, String> {
+    let (sub, rest) = match argv.split_first() {
+        Some((first, rest)) if SUBCOMMANDS.contains(&first.as_str()) => (first.as_str(), rest),
+        _ => ("", argv),
     };
-    let mut iter = argv.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            "--seed" => match iter.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(v)) => seed = v,
-                _ => return usage("--seed needs an unsigned integer".to_string()),
-            },
-            "--iters" => match iter.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(v)) => iters = v,
-                _ => return usage("--iters needs an unsigned integer".to_string()),
-            },
-            "--layer" => match iter.next().map(|v| Layer::parse(v)) {
-                Some(Some(layer)) => layers.push(layer),
-                _ => return usage("--layer must be source|ast|asm|machine|grid".to_string()),
-            },
-            "--corpus" => match iter.next() {
-                Some(dir) => corpus = Some(dir.clone()),
-                None => return usage("--corpus needs a directory".to_string()),
-            },
-            "--replay" => match iter.next() {
-                Some(dir) => replay = Some(dir.clone()),
-                None => return usage("--replay needs a directory".to_string()),
-            },
-            other => return usage(format!("unknown option `{other}`")),
+    let invocation = if sub.is_empty() {
+        "plain `titalc`".to_string()
+    } else {
+        format!("`titalc {sub}`")
+    };
+    let mut opts = Opts::default();
+    let mut files: Vec<String> = Vec::new();
+    let mut args = rest.iter();
+    while let Some(arg) = args.next() {
+        if arg == "-h" || arg == "--help" {
+            return Ok(Command::Help);
+        }
+        if !arg.starts_with('-') {
+            files.push(arg.clone());
+            continue;
+        }
+        let named = || {
+            FLAGS.iter().filter(|flag| match flag.arity {
+                Arity::Glued => arg.starts_with(flag.names[0]),
+                _ => flag.names.contains(&arg.as_str()),
+            })
+        };
+        let Some(flag) = named().find(|flag| flag.subcommands.contains(&sub)) else {
+            return Err(match named().next() {
+                Some(flag) => format!("`{}` does not apply to {invocation}", flag.names[0]),
+                None => format!("unknown option `{arg}`"),
+            });
+        };
+        let value = match flag.arity {
+            Arity::Switch => "",
+            Arity::Glued => &arg[flag.names[0].len()..],
+            Arity::Next => args
+                .next()
+                .ok_or_else(|| format!("`{arg}` needs a value"))?,
+        };
+        (flag.apply)(&mut opts, value).map_err(|error| format!("{arg}: {error}"))?;
+    }
+    if matches!(sub, "torture" | "synth" | "sweep") {
+        if let Some(file) = files.first() {
+            return Err(format!("unexpected argument `{file}` to {invocation}"));
         }
     }
-    if let Some(dir) = replay {
+    // As with a repeated flag, the last FILE wins.
+    let file = files.last().cloned();
+    let one_file = || {
+        file.clone()
+            .ok_or_else(|| format!("{invocation} needs a FILE"))
+    };
+    Ok(match sub {
+        "lint" => Command::Lint(one_file()?, opts),
+        "analyze" => Command::Analyze(one_file()?, opts),
+        "certify" => Command::Certify(one_file()?, opts),
+        "profile" => Command::Profile(one_file()?, opts),
+        "stats" => Command::Stats(one_file()?, opts),
+        "bound" => Command::Bound(file, opts),
+        "torture" => Command::Torture(opts),
+        "synth" => Command::Synth(opts),
+        "sweep" => match opts.grid.take() {
+            Some(grid) => Command::Sweep(grid, opts),
+            None => return Err("--grid is required".to_string()),
+        },
+        "bench-diff" => match <[String; 2]>::try_from(files) {
+            Ok(snapshots) => Command::BenchDiff(snapshots, opts),
+            Err(_) => return Err("expected exactly two snapshot files".to_string()),
+        },
+        _ if opts.machines => Command::Machines,
+        _ => Command::Run(one_file()?, opts),
+    })
+}
+
+/// `titalc torture`: run a campaign (or a corpus replay). Exits 0 when
+/// the robustness contract held, `EXIT_VERIFY` when any mutant produced a
+/// finding.
+fn run_torture_cmd(opts: &Opts) -> ExitCode {
+    if let Some(dir) = &opts.replay {
         let report = match replay_torture_corpus(std::path::Path::new(&dir)) {
             Ok(report) => report,
             Err(error) => {
@@ -479,12 +679,14 @@ fn run_torture_cmd(argv: &[String]) -> ExitCode {
             ExitCode::from(EXIT_VERIFY)
         };
     }
-    if layers.is_empty() {
-        layers = Layer::ALL.to_vec();
-    }
-    let report = run_torture(seed, iters, layers);
+    let layers = if opts.layers.is_empty() {
+        Layer::ALL.to_vec()
+    } else {
+        opts.layers.clone()
+    };
+    let report = run_torture(opts.seed, opts.iters.unwrap_or(500), layers);
     print!("{report}");
-    if let Some(dir) = corpus {
+    if let Some(dir) = &opts.corpus {
         if report.finding_count() > 0 {
             match write_corpus(std::path::Path::new(&dir), &report) {
                 Ok(paths) => {
@@ -510,21 +712,7 @@ fn run_torture_cmd(argv: &[String]) -> ExitCode {
 /// table (the exact checked-in format), or with `--check` compare the
 /// regeneration byte-for-byte against the shipped table — the CI
 /// determinism gate. A mismatch exits `EXIT_VERIFY`.
-fn run_synth_cmd(argv: &[String]) -> ExitCode {
-    let mut check = false;
-    for arg in argv {
-        match arg.as_str() {
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            "--check" => check = true,
-            other => {
-                eprintln!("titalc synth: unknown option `{other}`\n\n{USAGE}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    }
+fn run_synth_cmd(check: bool) -> ExitCode {
     let report = synthesize(&SynthConfig::default());
     let text = report.table.to_text();
     eprintln!(
@@ -565,25 +753,6 @@ fn run_synth_cmd(argv: &[String]) -> ExitCode {
         ),
     }
     ExitCode::from(EXIT_VERIFY)
-}
-
-/// Parses `--inject panic:K,timeout:J`.
-fn parse_inject(spec: &str) -> Result<FaultInjection, String> {
-    let mut inject = FaultInjection::default();
-    for part in spec.split(',') {
-        let (kind, every) = part
-            .split_once(':')
-            .ok_or_else(|| format!("inject spec `{part}` must be kind:N"))?;
-        let every: u64 = every
-            .parse()
-            .map_err(|_| format!("bad inject period `{every}`"))?;
-        match kind {
-            "panic" => inject.panic_every = Some(every),
-            "timeout" => inject.timeout_every = Some(every),
-            other => return Err(format!("unknown inject kind `{other}`")),
-        }
-    }
-    Ok(inject)
 }
 
 /// Whether a record may seed the cross-sweep result cache: only
@@ -627,116 +796,24 @@ impl SweepObserver for SweepTimeline {
 /// the speedup-vs-cost Pareto frontier. Exits `EXIT_VERIFY` when any
 /// item was quarantined, `EXIT_SIM` on output I/O errors.
 #[allow(clippy::too_many_lines)]
-fn run_sweep_cmd(argv: &[String]) -> ExitCode {
-    let mut grid_text: Option<String> = None;
-    let mut workload_filter: Option<Vec<String>> = None;
-    let mut opt = OptLevel::O4;
-    let mut oracle = OracleKind::default();
-    let mut jobs = 1_usize;
-    let mut fuel = DEFAULT_CELL_FUEL;
-    let mut checkpoint: Option<String> = None;
-    let mut resuming = false;
-    let mut out: Option<String> = None;
-    let mut cache_path: Option<String> = None;
-    let mut timeline: Option<String> = None;
-    let mut inject = FaultInjection::default();
-    let mut deadline_ms: Option<u64> = None;
-    let mut verify = false;
-    let usage = |message: String| -> ExitCode {
-        eprintln!("titalc sweep: {message}\n\n{USAGE}");
-        ExitCode::from(EXIT_USAGE)
-    };
-    let mut iter = argv.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            "--grid" => match iter.next() {
-                Some(spec) => grid_text = Some(spec.clone()),
-                None => return usage("--grid needs a spec".to_string()),
-            },
-            "--workloads" => match iter.next() {
-                Some(csv) => {
-                    workload_filter = Some(csv.split(',').map(str::to_string).collect());
-                }
-                None => return usage("--workloads needs a name list".to_string()),
-            },
-            "--jobs" => match iter.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(v)) if v > 0 => jobs = v,
-                _ => return usage("--jobs needs a positive integer".to_string()),
-            },
-            "--fuel" => match iter.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(v)) if v > 0 => fuel = v,
-                _ => return usage("--fuel needs a positive integer".to_string()),
-            },
-            "--checkpoint" => match iter.next() {
-                Some(path) => checkpoint = Some(path.clone()),
-                None => return usage("--checkpoint needs a file path".to_string()),
-            },
-            "--resume" => match iter.next() {
-                Some(path) => {
-                    checkpoint = Some(path.clone());
-                    resuming = true;
-                }
-                None => return usage("--resume needs a file path".to_string()),
-            },
-            "--out" => match iter.next() {
-                Some(path) => out = Some(path.clone()),
-                None => return usage("--out needs a file path".to_string()),
-            },
-            "--cache" => match iter.next() {
-                Some(path) => cache_path = Some(path.clone()),
-                None => return usage("--cache needs a file path".to_string()),
-            },
-            "--timeline" => match iter.next() {
-                Some(path) => timeline = Some(path.clone()),
-                None => return usage("--timeline needs a file path".to_string()),
-            },
-            "--deadline-ms" => match iter.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(v)) if v > 0 => deadline_ms = Some(v),
-                _ => return usage("--deadline-ms needs a positive integer".to_string()),
-            },
-            "--inject" => match iter.next().map(|spec| parse_inject(spec)) {
-                Some(Ok(v)) => inject = v,
-                Some(Err(message)) => return usage(message),
-                None => return usage("--inject needs a spec".to_string()),
-            },
-            "--oracle" => match iter.next().map(String::as_str) {
-                Some("symbolic") => oracle = OracleKind::Symbolic,
-                Some("conservative") => oracle = OracleKind::Conservative,
-                _ => return usage("--oracle must be symbolic|conservative".to_string()),
-            },
-            "--verify" => verify = true,
-            level if level.starts_with("-O") => match level[2..].parse::<usize>() {
-                Ok(n) if n < OptLevel::ALL.len() => opt = OptLevel::ALL[n],
-                _ => return usage(format!("bad optimization level `{level}`")),
-            },
-            other => return usage(format!("unknown option `{other}`")),
-        }
-    }
-    let Some(grid_text) = grid_text else {
-        return usage("--grid is required".to_string());
-    };
-    let grid = match GridSpec::parse(&grid_text) {
-        Ok(grid) => grid,
-        Err(error) => return usage(format!("bad grid: {error}")),
-    };
+fn run_sweep_cmd(grid: GridSpec, opts: &Opts) -> ExitCode {
     let mut workloads = suite(Size::Small);
-    if let Some(filter) = workload_filter.filter(|f| f != &["all".to_string()]) {
-        for name in &filter {
-            if !workloads.iter().any(|w| w.name == name) {
-                return usage(format!("unknown workload `{name}`"));
-            }
+    if let Some(filter) = &opts.workloads {
+        if let Some(name) = filter
+            .iter()
+            .find(|name| !workloads.iter().any(|w| w.name == name.as_str()))
+        {
+            eprintln!("titalc sweep: unknown workload `{name}`");
+            return ExitCode::from(EXIT_USAGE);
         }
         workloads.retain(|w| filter.iter().any(|name| name == w.name));
     }
-    let runner = PipelineCellRunner::new(&workloads, opt, oracle, fuel, verify);
+    let fuel = opts.fuel.unwrap_or(DEFAULT_CELL_FUEL);
+    let runner = PipelineCellRunner::new(&workloads, opts.opt, opts.oracle, fuel, opts.verify);
     let plan = SweepPlan {
         workload_names: runner.names().to_vec(),
         fuel,
-        identity: runner.identity(&grid.canonical(), opt, oracle),
+        identity: runner.identity(&grid.canonical(), opts.opt, opts.oracle),
         grid,
     };
     let header = plan.header();
@@ -746,8 +823,8 @@ fn run_sweep_cmd(argv: &[String]) -> ExitCode {
     // cannot corrupt the first appended record.
     let mut resume_state = None;
     let mut journal_file = None;
-    if let Some(path) = &checkpoint {
-        if resuming {
+    if let Some(path) = &opts.checkpoint {
+        if opts.resume {
             if let Ok(text) = std::fs::read_to_string(path) {
                 match load_checkpoint(&text, &header) {
                     Ok(state) => resume_state = Some(state),
@@ -779,7 +856,7 @@ fn run_sweep_cmd(argv: &[String]) -> ExitCode {
 
     // Result cache: prior records, keyed by (program hash, machine hash).
     let mut cache_records: Vec<CellRecord> = Vec::new();
-    if let Some(path) = &cache_path {
+    if let Some(path) = &opts.cache_file {
         if let Ok(text) = std::fs::read_to_string(path) {
             cache_records.extend(text.lines().filter_map(CellRecord::parse));
         }
@@ -787,12 +864,12 @@ fn run_sweep_cmd(argv: &[String]) -> ExitCode {
     let cache = cache_from_records(cache_records.iter());
 
     let config = SweepConfig {
-        jobs,
-        deadline_ms,
-        inject,
+        jobs: opts.jobs.unwrap_or(1),
+        deadline_ms: opts.deadline_ms,
+        inject: opts.inject,
         quiet: true,
     };
-    let timeline_observer = match &timeline {
+    let timeline_observer = match &opts.timeline {
         Some(path) => match std::fs::File::create(path) {
             Ok(file) => Some(Mutex::new(SweepTimeline {
                 sink: TimelineSink::new(BufWriter::new(file)),
@@ -823,20 +900,16 @@ fn run_sweep_cmd(argv: &[String]) -> ExitCode {
     };
 
     if let Some(observer) = timeline_observer {
-        let finish = observer
+        let timeline = observer
             .into_inner()
-            .unwrap()
-            .sink
-            .finish()
-            .and_then(|mut out| out.flush());
-        if let Err(error) = finish {
-            let path = timeline.as_deref().unwrap_or_default();
-            eprintln!("titalc sweep: error writing timeline `{path}`: {error}");
-            return ExitCode::from(EXIT_SIM);
+            .expect("the timeline observer never panics while locked");
+        let path = opts.timeline.as_deref().unwrap_or_default();
+        if let Err(code) = close_output(timeline.sink.finish(), "timeline", path) {
+            return code;
         }
     }
 
-    if let Some(path) = &cache_path {
+    if let Some(path) = &opts.cache_file {
         let mut seen: HashSet<(u64, u64)> = cache.keys().copied().collect();
         for record in &outcome.records {
             if cacheable(record) && seen.insert((record.program_hash, record.machine_hash)) {
@@ -854,7 +927,7 @@ fn run_sweep_cmd(argv: &[String]) -> ExitCode {
         }
     }
 
-    if let Some(path) = &out {
+    if let Some(path) = &opts.out {
         let mut text = header.render();
         text.push('\n');
         for record in &outcome.records {
@@ -883,7 +956,7 @@ fn run_sweep_cmd(argv: &[String]) -> ExitCode {
         .field("cached", JsonValue::UInt(outcome.cached as u64))
         .field("resumed", JsonValue::UInt(outcome.resumed as u64))
         .field("quarantined", JsonValue::UInt(outcome.quarantined as u64))
-        .field("resumable", JsonValue::Bool(checkpoint.is_some()))
+        .field("resumable", JsonValue::Bool(opts.checkpoint.is_some()))
         .field("metrics", {
             let mut registry = MetricsRegistry::new();
             outcome.metrics.register(&mut registry);
@@ -946,36 +1019,8 @@ fn load_bench_rows(path: &str) -> Result<Vec<(String, u64)>, ExitCode> {
 /// rows outside the prefix are still printed but never fail the diff —
 /// the shape of a gate that blocks on one subsystem while the rest of the
 /// snapshot stays informational.
-fn run_bench_diff(argv: &[String]) -> ExitCode {
-    let mut threshold = 10.0_f64;
-    let mut only: Option<&String> = None;
-    let mut paths: Vec<&String> = Vec::new();
-    let usage = |message: String| -> ExitCode {
-        eprintln!("titalc bench-diff: {message}\n\n{USAGE}");
-        ExitCode::from(EXIT_USAGE)
-    };
-    let mut iter = argv.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            "--threshold" => match iter.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(v)) if v > 0.0 => threshold = v,
-                _ => return usage("--threshold needs a positive number".to_string()),
-            },
-            "--only" => match iter.next() {
-                Some(prefix) => only = Some(prefix),
-                None => return usage("--only needs a row-name prefix".to_string()),
-            },
-            path if !path.starts_with('-') => paths.push(arg),
-            other => return usage(format!("unknown option `{other}`")),
-        }
-    }
-    let [old_path, new_path] = paths.as_slice() else {
-        return usage("expected exactly two snapshot files".to_string());
-    };
+fn run_bench_diff([old_path, new_path]: &[String; 2], opts: &Opts) -> ExitCode {
+    let (threshold, only) = (opts.threshold.unwrap_or(10.0), opts.only.as_ref());
     let old_rows = match load_bench_rows(old_path) {
         Ok(rows) => rows,
         Err(code) => return code,
@@ -1026,8 +1071,8 @@ fn run_bench_diff(argv: &[String]) -> ExitCode {
 /// print one line per optimizer pass stating how its before/after IR
 /// snapshots were proven equivalent. Certification failures exit with
 /// `EXIT_VERIFY` via the pipeline taxonomy.
-fn run_certify(path: &str, source: &str, options: &CompileOptions) -> ExitCode {
-    let (program, certificates) = match compile_certified(source, options) {
+fn run_certify(path: &str, source: &str, opts: &Opts) -> ExitCode {
+    let (program, certificates) = match compile_certified(source, &opts.compile_options()) {
         Ok(pair) => pair,
         Err(error) => {
             eprintln!("titalc: {path}: {error}");
@@ -1104,13 +1149,13 @@ fn report(path: &str, diagnostics: &[supersym::verify::Diagnostic]) -> ExitCode 
 /// facts, then run the dataflow lints. Exits nonzero on lint errors. With
 /// `--loops`, print the natural-loop forest and scalar-evolution facts
 /// instead of the dataflow dump (`--json` for `supersym.loops/v1`).
-fn run_analyze(path: &str, source: &str, args: &Args) -> ExitCode {
+fn run_analyze(path: &str, source: &str, opts: &Opts) -> ExitCode {
     let module = match lower_tital(path, source) {
         Ok(module) => module,
         Err(code) => return code,
     };
-    if args.loops {
-        if args.json {
+    if opts.loops {
+        if opts.json {
             print!("{}", loops_json(path, &module).pretty());
             return ExitCode::SUCCESS;
         }
@@ -1339,7 +1384,7 @@ fn loops_json(path: &str, module: &supersym::ir::Module) -> JsonValue {
 /// timeline document (`.json`, via the trace_event validator) or an
 /// assembly program (anything else), printing every diagnostic. Parse
 /// failures exit with `EXIT_PARSE`; diagnostic errors with `EXIT_VERIFY`.
-fn run_lint(path: &str, source: &str, machine_name: Option<&str>) -> ExitCode {
+fn run_lint(path: &str, source: &str, opts: &Opts) -> ExitCode {
     let diagnostics = if path.ends_with(".machine") {
         match parse_machine_spec(source) {
             Ok(spec) => spec.diagnose(),
@@ -1379,19 +1424,37 @@ fn run_lint(path: &str, source: &str, machine_name: Option<&str>) -> ExitCode {
                 return ExitCode::from(EXIT_PARSE);
             }
         };
-        let machine = match machine_name {
-            Some(name) => match parse_machine(name) {
-                Some(machine) => Some(machine),
-                None => {
-                    eprintln!("titalc: unknown machine `{name}` (try --machines)");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            None => None,
-        };
-        lint_program(&program, machine.as_ref())
+        lint_program(&program, opts.machine.as_ref())
     };
     report(path, &diagnostics)
+}
+
+/// Compiles `source` and simulates the program, both observed by `sink`,
+/// and checks that the run's cycle account balances. Failures are
+/// reported on stderr and returned as the exit code.
+fn compile_and_simulate(
+    source: &str,
+    options: &CompileOptions,
+    sink: &mut dyn TraceSink,
+) -> Result<(Program, SimReport), ExitCode> {
+    let program = compile_with_trace(source, options, sink).map_err(|error| {
+        eprintln!("titalc: {error}");
+        ExitCode::from(error.exit_code())
+    })?;
+    let machine = &options.machine;
+    let report =
+        simulate_with_sink(&program, machine, SimOptions::default(), sink).map_err(|error| {
+            eprintln!("titalc: runtime error: {error}");
+            ExitCode::from(EXIT_SIM)
+        })?;
+    if !report.cycle_account().conserved() {
+        eprintln!(
+            "titalc: internal error: cycle account does not balance on `{}`",
+            machine.name()
+        );
+        return Err(ExitCode::from(EXIT_SIM));
+    }
+    Ok((program, report))
 }
 
 /// Records compile phases in memory for the profile report while
@@ -1436,17 +1499,19 @@ fn open_trace(path: &str) -> Result<JsonLinesSink<BufWriter<std::fs::File>>, Exi
     }
 }
 
-/// Flushes a trace sink, surfacing any write error that occurred while the
-/// sink was quietly swallowing them mid-run.
-fn close_trace(sink: JsonLinesSink<BufWriter<std::fs::File>>, path: &str) -> Result<(), ExitCode> {
-    let flushed = sink.finish().and_then(|mut writer| writer.flush());
-    match flushed {
-        Ok(()) => Ok(()),
-        Err(error) => {
-            eprintln!("titalc: error writing trace `{path}`: {error}");
-            Err(ExitCode::from(EXIT_SIM))
-        }
-    }
+/// Flushes the writer a finished trace or timeline sink hands back,
+/// surfacing any write error the sink quietly swallowed mid-run.
+fn close_output(
+    finished: std::io::Result<BufWriter<std::fs::File>>,
+    what: &str,
+    path: &str,
+) -> Result<(), ExitCode> {
+    finished
+        .and_then(|mut writer| writer.flush())
+        .map_err(|error| {
+            eprintln!("titalc: error writing {what} `{path}`: {error}");
+            ExitCode::from(EXIT_SIM)
+        })
 }
 
 /// Opens `--timeline <FILE>` with its simulate lanes named after
@@ -1471,21 +1536,6 @@ fn open_timeline(
         }
         Err(error) => {
             eprintln!("titalc: cannot write timeline to `{path}`: {error}");
-            Err(ExitCode::from(EXIT_SIM))
-        }
-    }
-}
-
-/// Closes a timeline document, surfacing any swallowed write error.
-fn close_timeline(
-    sink: TimelineSink<BufWriter<std::fs::File>>,
-    path: &str,
-) -> Result<(), ExitCode> {
-    let flushed = sink.finish().and_then(|mut writer| writer.flush());
-    match flushed {
-        Ok(_) => Ok(()),
-        Err(error) => {
-            eprintln!("titalc: error writing timeline `{path}`: {error}");
             Err(ExitCode::from(EXIT_SIM))
         }
     }
@@ -1704,21 +1754,17 @@ fn profile_json(
 /// `titalc profile`: compile with phase telemetry, run with the cycle
 /// account, and report both — as tables, or as one JSON document with
 /// `--json`. `--trace <FILE>` additionally streams raw events.
-fn run_profile(
-    path: &str,
-    source: &str,
-    args: &Args,
-    machine: &MachineConfig,
-    options: &CompileOptions,
-) -> ExitCode {
-    let file = match &args.trace {
+fn run_profile(path: &str, source: &str, opts: &Opts) -> ExitCode {
+    let options = opts.compile_options();
+    let machine = &options.machine;
+    let file = match &opts.trace {
         Some(trace_path) => match open_trace(trace_path) {
             Ok(sink) => Some(sink),
             Err(code) => return code,
         },
         None => None,
     };
-    let timeline = match &args.timeline {
+    let timeline = match &opts.timeline {
         Some(timeline_path) => match open_timeline(timeline_path, machine) {
             Ok(sink) => Some(sink),
             Err(code) => return code,
@@ -1730,45 +1776,32 @@ fn run_profile(
         file,
         timeline,
     };
-    let program = match compile_with_trace(source, options, &mut sink) {
-        Ok(program) => program,
-        Err(error) => {
-            eprintln!("titalc: {error}");
-            return ExitCode::from(error.exit_code());
-        }
-    };
-    let report = match simulate_with_sink(&program, machine, SimOptions::default(), &mut sink) {
-        Ok(report) => report,
-        Err(error) => {
-            eprintln!("titalc: runtime error: {error}");
-            return ExitCode::from(EXIT_SIM);
-        }
+    let (program, report) = match compile_and_simulate(source, &options, &mut sink) {
+        Ok(run) => run,
+        Err(code) => return code,
     };
     if let Some(file) = sink.file.take() {
-        if let Err(code) = close_trace(file, args.trace.as_deref().unwrap_or("")) {
+        if let Err(code) = close_output(file.finish(), "trace", opts.trace.as_deref().unwrap_or(""))
+        {
             return code;
         }
     }
     if let Some(timeline) = sink.timeline.take() {
-        if let Err(code) = close_timeline(timeline, args.timeline.as_deref().unwrap_or("")) {
+        if let Err(code) = close_output(
+            timeline.finish(),
+            "timeline",
+            opts.timeline.as_deref().unwrap_or(""),
+        ) {
             return code;
         }
     }
-    let account = report.cycle_account();
-    if !account.conserved() {
-        eprintln!(
-            "titalc: internal error: cycle account does not balance on `{}`",
-            machine.name()
-        );
-        return ExitCode::from(EXIT_SIM);
-    }
-    if args.json {
+    if opts.json {
         print!(
             "{}",
             profile_json(
                 path,
-                args.opt,
-                args.oracle,
+                opts.opt,
+                opts.oracle,
                 &report,
                 program.static_size(),
                 &sink.memory.phases
@@ -1778,7 +1811,7 @@ fn run_profile(
         return ExitCode::SUCCESS;
     }
     println!("machine:        {}", machine.name());
-    println!("optimization:   {}", args.opt);
+    println!("optimization:   {}", opts.opt);
     println!("static size:    {} instructions", program.static_size());
     println!("dynamic count:  {} instructions", report.instructions());
     println!("time:           {:.1} base cycles", report.base_cycles());
@@ -1798,6 +1831,7 @@ fn run_profile(
             phase.wall_ns as f64 / 1e6
         );
     }
+    let account = report.cycle_account();
     print_cycle_account(account);
     print_class_table(report.census(), account);
     print_fu_waits(account);
@@ -1828,39 +1862,17 @@ impl TraceSink for StatsSink {
 /// counters, run counters/gauges, stall-run-length and per-block ILP
 /// histograms) plus the per-phase wall times. Everything in `metrics` is
 /// deterministic; wall time lives only in `compile.phases`.
-fn run_stats(
-    path: &str,
-    source: &str,
-    args: &Args,
-    machine: &MachineConfig,
-    options: &CompileOptions,
-) -> ExitCode {
+fn run_stats(path: &str, source: &str, opts: &Opts) -> ExitCode {
+    let options = opts.compile_options();
     let mut sink = StatsSink {
         memory: MemorySink::new(),
         metrics: MetricsSink::new(),
     };
-    let program = match compile_with_trace(source, options, &mut sink) {
-        Ok(program) => program,
-        Err(error) => {
-            eprintln!("titalc: {error}");
-            return ExitCode::from(error.exit_code());
-        }
-    };
-    let report = match simulate_with_sink(&program, machine, SimOptions::default(), &mut sink) {
-        Ok(report) => report,
-        Err(error) => {
-            eprintln!("titalc: runtime error: {error}");
-            return ExitCode::from(EXIT_SIM);
-        }
+    let (program, report) = match compile_and_simulate(source, &options, &mut sink) {
+        Ok(run) => run,
+        Err(code) => return code,
     };
     let account = report.cycle_account();
-    if !account.conserved() {
-        eprintln!(
-            "titalc: internal error: cycle account does not balance on `{}`",
-            machine.name()
-        );
-        return ExitCode::from(EXIT_SIM);
-    }
     let mut registry = phase_metrics(&sink.memory.phases);
     registry.counter("sim.static_size", program.static_size() as u64);
     registry.counter("sim.instructions", report.instructions());
@@ -1888,8 +1900,8 @@ fn run_stats(
     let doc = JsonObject::new()
         .field("schema", JsonValue::str(METRICS_SCHEMA))
         .field("source", JsonValue::str(path))
-        .field("machine", JsonValue::str(machine.name()))
-        .field("optimization", JsonValue::str(args.opt.label()))
+        .field("machine", JsonValue::str(options.machine.name()))
+        .field("optimization", JsonValue::str(opts.opt.label()))
         .field(
             "compile",
             JsonObject::new()
@@ -1921,37 +1933,16 @@ fn bound_cell_json(cell: &supersym::experiments::BoundCell) -> JsonValue {
         .build()
 }
 
-/// The CLI spellings of the paper's eleven machine presets, study order.
-const PRESET_SPECS: [&str; 11] = [
-    "base",
-    "multititan",
-    "cray1",
-    "vliw:4",
-    "superscalar:2",
-    "superscalar:8",
-    "superpipelined:4",
-    "ssp:2:2",
-    "conflicts:4",
-    "slowcycle",
-    "underpipelined",
-];
-
 /// `titalc bound` without a FILE: sweep the benchmark suite over every
 /// machine preset (or just the `-m` one) and report the static ILP
 /// ceiling next to measured parallelism per cell. Any unsound cell —
 /// measured ILP above the static ceiling — exits `EXIT_VERIFY`.
-fn run_bound_suite(args: &Args) -> ExitCode {
-    let machines: Vec<MachineConfig> = match args.machine.as_deref() {
-        Some(name) => match parse_machine(name) {
-            Some(machine) => vec![machine],
-            None => {
-                eprintln!("titalc: unknown machine `{name}` (try --machines)");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        },
-        None => PRESET_SPECS
+fn run_bound_suite(opts: &Opts) -> ExitCode {
+    let machines: Vec<MachineConfig> = match &opts.machine {
+        Some(machine) => vec![machine.clone()],
+        None => MACHINES
             .iter()
-            .map(|spec| parse_machine(spec).expect("preset spec parses"))
+            .flat_map(|(_, _, build, suite)| suite.iter().map(|degrees| build(degrees)))
             .collect(),
     };
     let workloads = suite(Size::Small);
@@ -1960,7 +1951,7 @@ fn run_bound_suite(args: &Args) -> ExitCode {
     for machine in &machines {
         let mut cells = Vec::new();
         for workload in &workloads {
-            let options = CompileOptions::new(args.opt, machine).with_oracle(args.oracle);
+            let options = CompileOptions::new(opts.opt, machine).with_oracle(opts.oracle);
             let program = match compile(&workload.source, &options) {
                 Ok(program) => program,
                 Err(error) => {
@@ -1974,7 +1965,7 @@ fn run_bound_suite(args: &Args) -> ExitCode {
         }
         rows.push((machine.name().to_string(), cells));
     }
-    if args.json {
+    if opts.json {
         let machines_json = rows
             .iter()
             .map(|(name, cells)| {
@@ -1989,7 +1980,7 @@ fn run_bound_suite(args: &Args) -> ExitCode {
             .collect();
         let doc = JsonObject::new()
             .field("schema", JsonValue::str("supersym.bound/v1"))
-            .field("optimization", JsonValue::str(args.opt.label()))
+            .field("optimization", JsonValue::str(opts.opt.label()))
             .field("suite", JsonValue::str("small"))
             .field("machines", JsonValue::Array(machines_json))
             .field("sound", JsonValue::Bool(all_sound))
@@ -1998,7 +1989,7 @@ fn run_bound_suite(args: &Args) -> ExitCode {
     } else {
         println!(
             "bound study: static ILP ceiling vs measured parallelism (suite, {})",
-            args.opt
+            opts.opt
         );
         for (name, cells) in &rows {
             println!("  {name}");
@@ -2041,21 +2032,17 @@ fn run_bound_suite(args: &Args) -> ExitCode {
 /// `titalc bound FILE`: compile one program for the chosen preset, report
 /// its innermost machine loops with their static facts, and check the
 /// soundness invariant against a counted run.
-fn run_bound_file(
-    path: &str,
-    source: &str,
-    args: &Args,
-    machine: &MachineConfig,
-    options: &CompileOptions,
-) -> ExitCode {
-    let program = match compile(source, options) {
+fn run_bound_file(path: &str, source: &str, opts: &Opts) -> ExitCode {
+    let options = opts.compile_options();
+    let machine = &options.machine;
+    let program = match compile(source, &options) {
         Ok(program) => program,
         Err(error) => {
             eprintln!("titalc: {error}");
             return ExitCode::from(error.exit_code());
         }
     };
-    let oracle = args.oracle.as_loop_oracle();
+    let oracle = opts.oracle.as_loop_oracle();
     let statics = program_loop_statics(&program, machine, oracle);
     let watches: Vec<(u32, u64, u64)> = statics
         .iter()
@@ -2090,7 +2077,7 @@ fn run_bound_file(
             .map_or("?", |f| f.name())
             .to_string()
     };
-    if args.json {
+    if opts.json {
         let loops = statics
             .iter()
             .zip(&counts)
@@ -2113,7 +2100,7 @@ fn run_bound_file(
             .field("schema", JsonValue::str("supersym.bound/v1"))
             .field("source", JsonValue::str(path))
             .field("machine", JsonValue::str(machine.name()))
-            .field("optimization", JsonValue::str(args.opt.label()))
+            .field("optimization", JsonValue::str(opts.opt.label()))
             .field("loops", JsonValue::Array(loops))
             .field(
                 "bound",
@@ -2140,7 +2127,7 @@ fn run_bound_file(
         print!("{}", doc.pretty());
     } else {
         println!("machine:        {}", machine.name());
-        println!("optimization:   {}", args.opt);
+        println!("optimization:   {}", opts.opt);
         println!(
             "loops:          {} innermost machine loop(s)",
             statics.len()
@@ -2196,99 +2183,71 @@ fn run_bound_file(
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("torture") {
-        return run_torture_cmd(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("synth") {
-        return run_synth_cmd(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("sweep") {
-        return run_sweep_cmd(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("bench-diff") {
-        return run_bench_diff(&argv[1..]);
-    }
-    let args = match parse_args() {
-        Ok(args) => args,
+    run(&argv)
+}
+
+/// Parses `argv` (without the program name) and runs the command.
+fn run(argv: &[String]) -> ExitCode {
+    let command = match parse_args(argv) {
+        Ok(command) => command,
         Err(message) => {
-            eprintln!("{message}");
+            eprintln!("titalc: {message}\n(see `titalc --help`)");
             return ExitCode::from(EXIT_USAGE);
         }
     };
-    if args.list_machines {
-        println!("machine presets:");
-        println!("  base                  one instruction/cycle, unit latencies");
-        println!("  multititan            MultiTitan latency model (avg superpipelining 1.7)");
-        println!("  cray1                 CRAY-1 latency model (avg superpipelining 4.4)");
-        println!("  underpipelined        issues every other cycle");
-        println!("  superscalar:<n>       ideal degree-n superscalar");
-        println!("  superpipelined:<m>    degree-m superpipelined");
-        println!("  ssp:<n>:<m>           superpipelined superscalar");
-        println!("  conflicts:<n>         degree-n superscalar with shared functional units");
-        println!("  vliw:<n>              n-wide VLIW (taken branches break the issue group)");
-        println!("  slowcycle             underpipelined: doubled latencies, slower clock");
-        return ExitCode::SUCCESS;
-    }
-    if args.bound && args.source_path.is_none() {
-        return run_bound_suite(&args);
-    }
-    let Some(path) = args.source_path.clone() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
+    type FileRunner = fn(&str, &str, &Opts) -> ExitCode;
+    let (path, opts, runner): (String, Opts, FileRunner) = match command {
+        Command::Help => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Command::Machines => {
+            println!("machine presets:");
+            for (spelling, about, ..) in MACHINES {
+                println!("  {spelling:<22}{about}");
+            }
+            println!("degrees: <n> in 1..=64, <m> in 1..=16 (the `sweep --grid` bounds)");
+            return ExitCode::SUCCESS;
+        }
+        Command::Torture(opts) => return run_torture_cmd(&opts),
+        Command::Synth(opts) => return run_synth_cmd(opts.check),
+        Command::Sweep(grid, opts) => return run_sweep_cmd(grid, &opts),
+        Command::BenchDiff(snapshots, opts) => return run_bench_diff(&snapshots, &opts),
+        Command::Bound(None, opts) => return run_bound_suite(&opts),
+        Command::Bound(Some(path), opts) => (path, opts, run_bound_file),
+        Command::Run(path, opts) => (path, opts, run_compile),
+        Command::Lint(path, opts) => (path, opts, run_lint),
+        Command::Analyze(path, opts) => (path, opts, run_analyze),
+        Command::Certify(path, opts) => (path, opts, run_certify),
+        Command::Profile(path, opts) => (path, opts, run_profile),
+        Command::Stats(path, opts) => (path, opts, run_stats),
     };
-    let source = match std::fs::read_to_string(&path) {
-        Ok(source) => source,
+    match std::fs::read_to_string(&path) {
+        Ok(source) => runner(&path, &source, &opts),
         Err(error) => {
             eprintln!("titalc: cannot read `{path}`: {error}");
-            return ExitCode::from(EXIT_USAGE);
+            ExitCode::from(EXIT_USAGE)
         }
-    };
-    if args.lint {
-        return run_lint(&path, &source, args.machine.as_deref());
     }
-    if args.analyze {
-        return run_analyze(&path, &source, &args);
-    }
-    let machine_name = args.machine.as_deref().unwrap_or("base");
-    let Some(machine) = parse_machine(machine_name) else {
-        eprintln!("titalc: unknown machine `{machine_name}` (try --machines)");
-        return ExitCode::from(EXIT_USAGE);
-    };
-    let mut options = CompileOptions::new(args.opt, &machine).with_oracle(args.oracle);
-    if args.verify {
-        options = options.with_verify(true);
-    }
-    if let Some(unroll) = args.unroll {
-        options = options.with_unroll(unroll);
-    }
-    if args.certify {
-        return run_certify(&path, &source, &options);
-    }
-    if args.profile {
-        return run_profile(&path, &source, &args, &machine, &options);
-    }
-    if args.stats {
-        return run_stats(&path, &source, &args, &machine, &options);
-    }
-    if args.bound {
-        return run_bound_file(&path, &source, &args, &machine, &options);
-    }
-    if args.timeline.is_some() {
-        eprintln!("titalc: --timeline only applies to `profile` and `sweep`\n\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    let program = match compile(&source, &options) {
+}
+
+/// Plain `titalc`: compile, then print the scheduled assembly (`--dump`)
+/// or simulate and report cycles (with `--cache`, cache miss rates too).
+fn run_compile(_path: &str, source: &str, opts: &Opts) -> ExitCode {
+    let options = opts.compile_options();
+    let machine = &options.machine;
+    let program = match compile(source, &options) {
         Ok(program) => program,
         Err(error) => {
             eprintln!("titalc: {error}");
             return ExitCode::from(error.exit_code());
         }
     };
-    if args.dump {
+    if opts.dump {
         print!("{program}");
         return ExitCode::SUCCESS;
     }
-    let mut trace_sink = match &args.trace {
+    let mut trace_sink = match &opts.trace {
         Some(trace_path) => match open_trace(trace_path) {
             Ok(sink) => Some(sink),
             Err(code) => return code,
@@ -2296,8 +2255,8 @@ fn main() -> ExitCode {
         None => None,
     };
     let report = match trace_sink.as_mut().map_or_else(
-        || simulate(&program, &machine, SimOptions::default()),
-        |sink| simulate_with_sink(&program, &machine, SimOptions::default(), sink),
+        || simulate(&program, machine, SimOptions::default()),
+        |sink| simulate_with_sink(&program, machine, SimOptions::default(), sink),
     ) {
         Ok(report) => report,
         Err(error) => {
@@ -2306,12 +2265,13 @@ fn main() -> ExitCode {
         }
     };
     if let Some(sink) = trace_sink {
-        if let Err(code) = close_trace(sink, args.trace.as_deref().unwrap_or("")) {
+        if let Err(code) = close_output(sink.finish(), "trace", opts.trace.as_deref().unwrap_or(""))
+        {
             return code;
         }
     }
     println!("machine:        {}", machine.name());
-    println!("optimization:   {}", args.opt);
+    println!("optimization:   {}", opts.opt);
     println!("static size:    {} instructions", program.static_size());
     println!("dynamic count:  {} instructions", report.instructions());
     println!("time:           {:.1} base cycles", report.base_cycles());
@@ -2321,10 +2281,10 @@ fn main() -> ExitCode {
     );
     print_cycle_account(report.cycle_account());
     print_class_table(report.census(), report.cycle_account());
-    if args.cache {
+    if opts.cache {
         let (_, caches) = match simulate_with_cache(
             &program,
-            &machine,
+            machine,
             SimOptions::default(),
             CacheConfig::small_direct(),
             CacheConfig::small_direct(),
@@ -2345,4 +2305,290 @@ fn main() -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::{Duration, Instant};
+
+    fn parse(argv: &[&str]) -> Result<Command, String> {
+        let argv: Vec<String> = argv.iter().map(|arg| (*arg).to_string()).collect();
+        parse_args(&argv)
+    }
+
+    fn file(path: &str) -> String {
+        path.to_string()
+    }
+
+    fn on(name: &str) -> Opts {
+        Opts {
+            machine: Some(parse_machine(name).unwrap()),
+            ..Opts::default()
+        }
+    }
+
+    fn grid(text: &str) -> GridSpec {
+        GridSpec::parse(text).unwrap()
+    }
+
+    /// The paper presets the CI smoke loops run, built straight from
+    /// `presets` rather than through the machine table.
+    fn ci_presets() -> Vec<(&'static str, MachineConfig)> {
+        vec![
+            ("base", presets::base()),
+            ("multititan", presets::multititan()),
+            ("cray1", presets::cray1()),
+            ("vliw:4", presets::vliw(4)),
+            ("superscalar:2", presets::ideal_superscalar(2)),
+            ("superscalar:8", presets::ideal_superscalar(8)),
+            ("superpipelined:4", presets::superpipelined(4)),
+            ("ssp:2:2", presets::superpipelined_superscalar(2, 2)),
+            ("conflicts:4", presets::superscalar_with_class_conflicts(4)),
+            ("slowcycle", presets::underpipelined_slow_cycle()),
+            ("underpipelined", presets::underpipelined_half_issue()),
+        ]
+    }
+
+    /// Every argv the CLI and sweep integration tests and the CI workflow
+    /// pass to `titalc`, with the command it must resolve to.
+    #[test]
+    fn accepted_argv_resolve_to_their_commands() {
+        let d = Opts::default;
+        let some = |text: &str| Some(text.to_string());
+        let names = |csv: &str| Some(csv.split(',').map(String::from).collect());
+        let plain = |opts| Command::Run(file("p.tital"), opts);
+        let profile = |opts| Command::Profile(file("p.tital"), opts);
+        let sweep = |text: &str, opts| Command::Sweep(grid(text), opts);
+        let pair = || [file("a.json"), file("b.json")];
+        let small = "issue=1,2,4 pipe=1,2 lat=unit,titan";
+        let study = "issue=1,2,4,8 pipe=1,2,4 lat=unit,titan fu=ideal,shared";
+        let big = "issue=1..8 pipe=1..4 lat=unit,titan,cray fu=ideal,shared";
+        #[rustfmt::skip]
+        let cases: Vec<(Vec<&str>, Command)> = vec![
+            (vec!["lint", "b.machine"], Command::Lint(file("b.machine"), d())),
+            (vec!["lint", "t.json"], Command::Lint(file("t.json"), d())),
+            (vec!["p.tital"], plain(d())),
+            (vec!["-m", "cray1", "p.tital"], plain(on("cray1"))),
+            (vec!["--verify", "-m", "superscalar:4", "p.tital"],
+             plain(Opts { verify: true, ..on("superscalar:4") })),
+            (vec!["--verify", "--oracle", "symbolic", "p.tital"], plain(Opts { verify: true, ..d() })),
+            (vec!["--verify", "--oracle", "conservative", "p.tital"],
+             plain(Opts { verify: true, oracle: OracleKind::Conservative, ..d() })),
+            (vec!["--help"], Command::Help),
+            (vec!["sweep", "-h"], Command::Help),
+            (vec!["--machines"], Command::Machines),
+            (vec!["analyze", "c.tital"], Command::Analyze(file("c.tital"), d())),
+            (vec!["analyze", "--loops", "c.tital"],
+             Command::Analyze(file("c.tital"), Opts { loops: true, ..d() })),
+            (vec!["analyze", "--loops", "--json", "c.tital"],
+             Command::Analyze(file("c.tital"), Opts { loops: true, json: true, ..d() })),
+            (vec!["profile", "--json", "--verify", "-m", "multititan", "p.tital"],
+             profile(Opts { json: true, verify: true, ..on("multititan") })),
+            (vec!["profile", "-m", "superscalar:4", "p.tital"], profile(on("superscalar:4"))),
+            (vec!["profile", "--trace", "t.jsonl", "p.tital"],
+             profile(Opts { trace: some("t.jsonl"), ..d() })),
+            (vec!["profile", "--timeline", "t.json", "-m", "superscalar:4", "p.tital"],
+             profile(Opts { timeline: some("t.json"), ..on("superscalar:4") })),
+            (vec!["stats", "--verify", "-m", "multititan", "p.tital"],
+             Command::Stats(file("p.tital"), Opts { verify: true, ..on("multititan") })),
+            (vec!["bound", "-m", "superscalar:2", "l.tital"],
+             Command::Bound(some("l.tital"), on("superscalar:2"))),
+            (vec!["bound", "--json", "l.tital"],
+             Command::Bound(some("l.tital"), Opts { json: true, ..d() })),
+            (vec!["bound", "-m", "superscalar:2", "--json"],
+             Command::Bound(None, Opts { json: true, ..on("superscalar:2") })),
+            (vec!["certify", "-m", "multititan", "--unroll", "careful:2", "p.tital"],
+             Command::Certify(file("p.tital"),
+                              Opts { unroll: Some(UnrollOptions::careful(2)), ..on("multititan") })),
+            (vec!["torture", "--seed", "9", "--iters", "25"],
+             Command::Torture(Opts { seed: 9, iters: Some(25), ..d() })),
+            (vec!["torture", "--seed", "3735928559", "--iters", "500"],
+             Command::Torture(Opts { seed: 3_735_928_559, iters: Some(500), ..d() })),
+            (vec!["torture", "--replay", "tests/corpus"],
+             Command::Torture(Opts { replay: some("tests/corpus"), ..d() })),
+            (vec!["synth", "--check"], Command::Synth(Opts { check: true, ..d() })),
+            (vec!["bench-diff", "a.json", "b.json"], Command::BenchDiff(pair(), d())),
+            (vec!["bench-diff", "--threshold", "50", "a.json", "b.json"],
+             Command::BenchDiff(pair(), Opts { threshold: Some(50.0), ..d() })),
+            (vec!["bench-diff", "--threshold", "75", "--only", "simulate/", "a.json", "b.json"],
+             Command::BenchDiff(pair(), Opts { threshold: Some(75.0), only: some("simulate/"), ..d() })),
+            (vec!["sweep", "--grid", small, "--workloads", "whet", "--jobs", "2", "--out", "o.jsonl",
+                  "--checkpoint", "ck.jsonl"],
+             sweep(small, Opts { workloads: names("whet"), jobs: Some(2), out: some("o.jsonl"),
+                                 checkpoint: some("ck.jsonl"), ..d() })),
+            (vec!["sweep", "--grid", small, "--workloads", "whet", "--jobs", "2", "--out", "o.jsonl",
+                  "--resume", "ck.jsonl"],
+             sweep(small, Opts { workloads: names("whet"), jobs: Some(2), out: some("o.jsonl"),
+                                 checkpoint: some("ck.jsonl"), resume: true, ..d() })),
+            (vec!["sweep", "--grid", small, "--workloads", "whet", "--jobs", "2", "--out", "o.jsonl",
+                  "--inject", "panic:5,timeout:7"],
+             sweep(small, Opts { workloads: names("whet"), jobs: Some(2), out: some("o.jsonl"),
+                                 inject: FaultInjection { panic_every: Some(5), timeout_every: Some(7) },
+                                 ..d() })),
+            (vec!["sweep", "--grid", small, "--workloads", "whet", "--jobs", "2", "--out", "o.jsonl",
+                  "--cache", "c.jsonl"],
+             sweep(small, Opts { workloads: names("whet"), jobs: Some(2), out: some("o.jsonl"),
+                                 cache_file: some("c.jsonl"), ..d() })),
+            (vec!["sweep", "--grid", small, "--workloads", "whet", "--jobs", "2", "--out", "o.jsonl",
+                  "--timeline", "t.json", "--jobs", "4"],
+             sweep(small, Opts { workloads: names("whet"), jobs: Some(4), out: some("o.jsonl"),
+                                 timeline: some("t.json"), ..d() })),
+            (vec!["sweep", "--grid", "issue=1,2 pipe=1", "--workloads", "whet", "--resume", "ck.jsonl"],
+             sweep("issue=1,2 pipe=1", Opts { workloads: names("whet"), checkpoint: some("ck.jsonl"),
+                                              resume: true, ..d() })),
+            (vec!["sweep", "--grid", "issue=1", "--workloads", "nosuch"],
+             sweep("issue=1", Opts { workloads: names("nosuch"), ..d() })),
+            (vec!["sweep", "--grid", "issue=1,2 pipe=1,2", "--workloads", "whet,linpack", "--jobs", "2",
+                  "--checkpoint", "sweep-smoke.jsonl"],
+             sweep("issue=1,2 pipe=1,2", Opts { workloads: names("whet,linpack"), jobs: Some(2),
+                                                checkpoint: some("sweep-smoke.jsonl"), ..d() })),
+            (vec!["sweep", "--grid", study, "--workloads", "whet", "--jobs", "4", "--timeline", "t.json"],
+             sweep(study, Opts { workloads: names("whet"), jobs: Some(4), timeline: some("t.json"), ..d() })),
+            (vec!["sweep", "--grid", big, "--workloads", "all", "--jobs", "2", "--out", "full.jsonl"],
+             sweep(big, Opts { jobs: Some(2), out: some("full.jsonl"), ..d() })),
+            (vec!["sweep", "--grid", big, "--workloads", "all", "--jobs", "1", "--checkpoint", "ck.jsonl"],
+             sweep(big, Opts { jobs: Some(1), checkpoint: some("ck.jsonl"), ..d() })),
+            (vec!["sweep", "--grid", big, "--workloads", "all", "--jobs", "2", "--resume", "ck.jsonl",
+                  "--out", "resumed.jsonl"],
+             sweep(big, Opts { jobs: Some(2), checkpoint: some("ck.jsonl"), resume: true,
+                               out: some("resumed.jsonl"), ..d() })),
+            (vec!["sweep", "--grid", "issue=1", "-O2", "--oracle", "conservative", "--verify"],
+             sweep("issue=1", Opts { opt: OptLevel::O2, oracle: OracleKind::Conservative, verify: true,
+                                     ..d() })),
+            (vec!["sweep", "--grid", "issue=1", "-O"], sweep("issue=1", d())),
+        ];
+        for (argv, expected) in cases {
+            assert_eq!(parse(&argv), Ok(expected), "{argv:?}");
+        }
+        // The CI smoke loops: certify, profile and bound on every preset.
+        for (name, machine) in ci_presets() {
+            let on = Opts {
+                machine: Some(machine),
+                ..d()
+            };
+            assert_eq!(
+                parse(&["certify", "-m", name, "--unroll", "careful:2", "p.tital"]),
+                Ok(Command::Certify(
+                    file("p.tital"),
+                    Opts {
+                        unroll: Some(UnrollOptions::careful(2)),
+                        ..on.clone()
+                    }
+                )),
+                "{name}"
+            );
+            assert_eq!(
+                parse(&["profile", "--json", "-m", name, "p.tital"]),
+                Ok(Command::Profile(
+                    file("p.tital"),
+                    Opts {
+                        json: true,
+                        ..on.clone()
+                    }
+                )),
+                "{name}"
+            );
+            assert_eq!(
+                parse(&["bound", "--json", "-m", name]),
+                Ok(Command::Bound(None, Opts { json: true, ..on })),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn bound_suite_sweeps_the_presets_in_study_order() {
+        let suite: Vec<MachineConfig> = MACHINES
+            .iter()
+            .flat_map(|(_, _, build, suite)| suite.iter().map(|degrees| build(degrees)))
+            .collect();
+        let expected: Vec<MachineConfig> = ci_presets().into_iter().map(|(_, m)| m).collect();
+        assert_eq!(suite, expected);
+    }
+
+    /// Rejected argv exit with the usage code, promptly and without a
+    /// panic, with a message naming the problem.
+    #[test]
+    fn rejected_argv_exit_with_usage_code() {
+        let cases: [(&[&str], &str); 15] = [
+            (
+                &["-m", "superscalar:0", "p.tital"],
+                "value 0 is outside 1..=64",
+            ),
+            (&["-m", "ssp:0:2", "p.tital"], "value 0 is outside 1..=64"),
+            (&["-m", "ssp:2:0", "p.tital"], "value 0 is outside 1..=16"),
+            (&["-m", "vliw:0", "p.tital"], "value 0 is outside 1..=64"),
+            (
+                &["-m", "conflicts:0", "p.tital"],
+                "value 0 is outside 1..=64",
+            ),
+            (
+                &["-m", "superpipelined:0", "p.tital"],
+                "value 0 is outside 1..=16",
+            ),
+            (
+                &["-m", "superscalar:65", "p.tital"],
+                "value 65 is outside 1..=64",
+            ),
+            (
+                &["bound", "-m", "superscalar:0"],
+                "value 0 is outside 1..=64",
+            ),
+            (&["bound", "-m", "quantum"], "unknown machine `quantum`"),
+            (&["--unroll", "careful:0", "p.tital"], "outside 1..=64"),
+            (&["--unroll", "careful:100000", "p.tital"], "outside 1..=64"),
+            (&["--oracle", "quantum", "p.tital"], "unknown oracle"),
+            (&["sweep", "--grid", "issue=1", "--dump"], "does not apply"),
+            (
+                &["--timeline", "t.json", "p.tital"],
+                "`--timeline` does not apply",
+            ),
+            (
+                &["torture", "--layer", "quantum"],
+                "source|ast|asm|machine|grid",
+            ),
+        ];
+        for (argv, needle) in cases {
+            match parse(argv) {
+                Err(message) => assert!(message.contains(needle), "{argv:?}: {message}"),
+                Ok(command) => panic!("{argv:?} was accepted as {command:?}"),
+            }
+            let argv: Vec<String> = argv.iter().map(|arg| (*arg).to_string()).collect();
+            let start = Instant::now();
+            assert_eq!(run(&argv), ExitCode::from(EXIT_USAGE), "{argv:?}");
+            assert!(start.elapsed() < Duration::from_secs(1), "{argv:?}");
+        }
+        for argv in [
+            &["--no-such-flag"][..],
+            &["sweep"],
+            &["sweep", "--grid", "issue=0 pipe=1"],
+            &["synth", "stray"],
+            &["bench-diff", "only-one.json"],
+            &["profile"],
+            &["-m"],
+            &["-O9", "p.tital"],
+        ] {
+            assert!(parse(argv).is_err(), "{argv:?}");
+        }
+    }
+
+    /// Help text and parser cannot drift: every spelling of every flag
+    /// appears in `USAGE` as a whole word.
+    #[test]
+    fn every_flag_is_documented() {
+        for flag in FLAGS {
+            for name in flag.names {
+                let documented = USAGE.match_indices(name).any(|(at, _)| {
+                    let next = USAGE[at + name.len()..].chars().next();
+                    !next.is_some_and(|c| c.is_ascii_alphanumeric() || c == '-')
+                });
+                assert!(documented, "`{name}` is missing from USAGE");
+            }
+            assert!(!flag.subcommands.is_empty(), "{:?}", flag.names);
+            for sub in flag.subcommands {
+                assert!(sub.is_empty() || SUBCOMMANDS.contains(sub), "{sub}");
+            }
+        }
+    }
 }

@@ -13,8 +13,8 @@ use supersym_trace::{MetricsRegistry, OwnedPhase, PhaseRecord, TraceSink};
 use supersym_verify::PassCertificate;
 
 /// The paper's Figure 4-8 optimization ladder. Each level includes all the
-/// previous ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// previous ones; the default is the full ladder, [`OptLevel::O4`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OptLevel {
     /// "the parallelism with no optimization at all".
     O0,
@@ -25,6 +25,7 @@ pub enum OptLevel {
     /// + global optimizations.
     O3,
     /// + global register allocation.
+    #[default]
     O4,
 }
 

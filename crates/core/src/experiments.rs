@@ -21,6 +21,51 @@ use supersym_sim::{
 use supersym_trace::LoopCountSink;
 use supersym_workloads::{numeric_suite, suite, Size, Workload};
 
+/// A named experiment driver: it renders its table or figure at a
+/// workload size (the analytic experiments ignore the size).
+pub type Experiment = (&'static str, fn(Size) -> String);
+
+/// Every experiment, in the order EXPERIMENTS.md presents them: the one
+/// list `reproduce_all` and the `paper` bench iterate.
+pub const ALL: &[Experiment] = &[
+    ("fig1_1", |_| fig1_1().to_string()),
+    ("fig2_diagrams", |_| fig2_diagrams()),
+    ("table2_1", |size| table2_1(size).to_string()),
+    ("fig4_1", |size| fig4_1(size).to_string()),
+    ("fig4_2", |_| fig4_2().to_string()),
+    ("fig4_3", |_| fig4_3().to_string()),
+    ("fig4_4", |size| fig4_4(size).to_string()),
+    ("fig4_5", |size| fig4_5(size).to_string()),
+    ("fig4_6", |size| fig4_6(size).to_string()),
+    ("fig4_7", |_| fig4_7().to_string()),
+    ("fig4_8", |size| fig4_8(size).to_string()),
+    ("table5_1", |size| table5_1(size).to_string()),
+    ("sec5_1", |_| sec5_1().to_string()),
+    ("headline", |size| headline(size).to_string()),
+    ("ablation_class_conflicts", |size| {
+        ablation_class_conflicts(size).to_string()
+    }),
+    ("ablation_branch_prediction", |size| {
+        ablation_branch_prediction(size).to_string()
+    }),
+    ("grid_measurement", |size| {
+        grid_measurement(size).to_string()
+    }),
+    ("unrolling_icache", |size| {
+        unrolling_icache(size).to_string()
+    }),
+    ("vector_equivalence", |_| vector_equivalence().to_string()),
+    ("complexity_tax", |size| complexity_tax(size).to_string()),
+    ("limit_study", |size| limit_study(size).to_string()),
+    ("alias_oracle_study", |size| {
+        alias_oracle_study(size).to_string()
+    }),
+    ("stall_breakdown", |size| stall_breakdown(size).to_string()),
+    ("rules_study", |size| rules_study(size).to_string()),
+    ("bound_study", |size| bound_study(size).to_string()),
+    ("sweep_study", |size| sweep_study(size).to_string()),
+];
+
 /// Harmonic mean (the paper's aggregate for speedups).
 #[must_use]
 pub fn harmonic_mean(values: &[f64]) -> f64 {
@@ -934,6 +979,17 @@ impl fmt::Display for Headline {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn experiment_list_names_each_driver_once() {
+        let mut names: Vec<&str> = ALL.iter().map(|(name, _)| *name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), ALL.len());
+        assert!(ALL.iter().any(|(name, _)| *name == "alias_oracle_study"));
+        // The analytic experiments render without touching the suite.
+        assert!(ALL[0].1(Size::Small).contains("Figure 1-1"));
+    }
 
     #[test]
     fn fig1_1_shapes() {

@@ -144,7 +144,7 @@ pub enum GridError {
         /// The offending value text.
         value: String,
     },
-    /// A numeric axis value outside its allowed range.
+    /// A numeric axis value outside its allowed range `1..=max`.
     OutOfRange {
         /// The axis the value was given for.
         axis: &'static str,
@@ -174,7 +174,7 @@ impl fmt::Display for GridError {
                 write!(f, "bad value `{value}` for grid axis `{axis}`")
             }
             GridError::OutOfRange { axis, value, max } => {
-                write!(f, "grid axis `{axis}` value {value} exceeds maximum {max}")
+                write!(f, "grid axis `{axis}` value {value} is outside 1..={max}")
             }
             GridError::DuplicateAxis(axis) => write!(f, "grid axis `{axis}` given twice"),
             GridError::EmptyAxis(axis) => write!(f, "grid axis `{axis}` has no values"),
@@ -221,12 +221,8 @@ impl GridSpec {
                 return Err(GridError::UnknownAxis(token.to_string()));
             };
             match axis {
-                "issue" => set_axis(
-                    &mut issue,
-                    "issue",
-                    parse_numbers("issue", values, MAX_ISSUE)?,
-                )?,
-                "pipe" => set_axis(&mut pipe, "pipe", parse_numbers("pipe", values, MAX_PIPE)?)?,
+                "issue" => set_axis(&mut issue, "issue", parse_numbers("issue", values)?)?,
+                "pipe" => set_axis(&mut pipe, "pipe", parse_numbers("pipe", values)?)?,
                 "lat" => set_axis(
                     &mut lat,
                     "lat",
@@ -362,32 +358,49 @@ fn set_axis<T>(
     Ok(())
 }
 
-fn parse_numbers(axis: &'static str, text: &str, max: u32) -> Result<Vec<u32>, GridError> {
-    let bad = |value: &str| GridError::BadValue {
+/// Parses one degree of the `issue` (1..=64) or `pipe` (1..=16) axis.
+/// Machine names with degrees (`superscalar:<n>`, `ssp:<n>:<m>`) go
+/// through this check too, so a name and a grid accept the same machines.
+///
+/// # Errors
+///
+/// [`GridError::BadValue`] for text that is not a number,
+/// [`GridError::OutOfRange`] for a degree outside the axis's range.
+pub fn parse_degree(axis: &'static str, text: &str) -> Result<u32, GridError> {
+    let value = text.parse().map_err(|_| GridError::BadValue {
         axis,
-        value: value.to_string(),
-    };
+        value: text.to_string(),
+    })?;
+    check_degree(axis, value)
+}
+
+fn check_degree(axis: &'static str, value: u32) -> Result<u32, GridError> {
+    let max = if axis == "pipe" { MAX_PIPE } else { MAX_ISSUE };
+    if value == 0 || value > max {
+        return Err(GridError::OutOfRange { axis, value, max });
+    }
+    Ok(value)
+}
+
+fn parse_numbers(axis: &'static str, text: &str) -> Result<Vec<u32>, GridError> {
     let mut out = Vec::new();
     for part in text.split(',') {
         // A part is either one number or an inclusive range `lo..hi`.
-        let (lo, hi) = match part.split_once("..") {
-            Some((lo, hi)) => (
-                lo.parse().map_err(|_| bad(part))?,
-                hi.parse().map_err(|_| bad(part))?,
-            ),
-            None => {
-                let value: u32 = part.parse().map_err(|_| bad(part))?;
-                (value, value)
-            }
+        let Some((lo, hi)) = part.split_once("..") else {
+            out.push(parse_degree(axis, part)?);
+            continue;
         };
+        let bad = || GridError::BadValue {
+            axis,
+            value: part.to_string(),
+        };
+        let lo: u32 = lo.parse().map_err(|_| bad())?;
+        let hi: u32 = hi.parse().map_err(|_| bad())?;
         if lo > hi {
-            return Err(bad(part));
+            return Err(bad());
         }
         for value in lo..=hi {
-            if value == 0 || value > max {
-                return Err(GridError::OutOfRange { axis, value, max });
-            }
-            out.push(value);
+            out.push(check_degree(axis, value)?);
         }
     }
     if out.is_empty() {
@@ -636,6 +649,23 @@ mod tests {
             GridSpec::parse("issue=0"),
             Err(GridError::OutOfRange { axis: "issue", .. })
         ));
+        assert_eq!(
+            GridSpec::parse("issue=0").unwrap_err().to_string(),
+            "grid axis `issue` value 0 is outside 1..=64"
+        );
+        assert_eq!(
+            GridSpec::parse("pipe=0..2").unwrap_err().to_string(),
+            "grid axis `pipe` value 0 is outside 1..=16"
+        );
+        assert_eq!(parse_degree("pipe", "16"), Ok(16));
+        assert_eq!(
+            parse_degree("issue", "65"),
+            Err(GridError::OutOfRange {
+                axis: "issue",
+                value: 65,
+                max: 64
+            })
+        );
         assert!(matches!(
             GridSpec::parse("pipe=99"),
             Err(GridError::OutOfRange { axis: "pipe", .. })

@@ -7,9 +7,13 @@
 //! If the per-instruction path allocated anything, the run that executes
 //! ~100× more dynamic instructions would allocate more. The counts must be
 //! exactly equal.
+//!
+//! Allocations are counted per thread: the test runner runs these tests on
+//! parallel threads, and a sibling's allocations must not leak into the
+//! count of the run being measured.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use supersym_isa::{AsmBuilder, IntReg, Program};
 use supersym_machine::presets;
@@ -18,11 +22,19 @@ use supersym_trace::{NullSink, TimelineSink};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialization needs no lazy set-up, so touching it from
+    // inside the allocator cannot itself allocate.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -55,9 +67,9 @@ fn counted_loop(iters: i64) -> Program {
 }
 
 fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let value = f();
-    (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (value, ALLOCATIONS.with(Cell::get) - before)
 }
 
 #[test]

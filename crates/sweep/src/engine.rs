@@ -94,7 +94,7 @@ impl SweepPlan {
 
 /// Deterministic fault injection for self-tests: panic or time out every
 /// N-th item (1-based, by canonical index).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultInjection {
     /// Panic on items where `(index + 1) % panic_every == 0`.
     pub panic_every: Option<u64>,

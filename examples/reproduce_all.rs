@@ -5,7 +5,7 @@
 //! cargo run --release -p supersym --example reproduce_all -- small  # quick pass
 //! ```
 
-use supersym::experiments as exp;
+use supersym::experiments;
 use supersym::workloads::Size;
 
 fn main() {
@@ -18,29 +18,7 @@ fn main() {
     println!(" supersym: reproduction of Jouppi & Wall, ASPLOS 1989");
     println!(" workload size: {size:?}");
     println!("==========================================================\n");
-    println!("{}", exp::fig1_1());
-    println!("{}", exp::fig2_diagrams());
-    println!("{}", exp::table2_1(size));
-    println!("{}", exp::fig4_1(size));
-    println!("{}", exp::fig4_2());
-    println!("{}", exp::fig4_3());
-    println!("{}", exp::fig4_4(size));
-    println!("{}", exp::fig4_5(size));
-    println!("{}", exp::fig4_6(size));
-    println!("{}", exp::fig4_7());
-    println!("{}", exp::fig4_8(size));
-    println!("{}", exp::table5_1(size));
-    println!("{}", exp::sec5_1());
-    println!("{}", exp::headline(size));
-    println!("{}", exp::ablation_class_conflicts(size));
-    println!("{}", exp::ablation_branch_prediction(size));
-    println!("{}", exp::grid_measurement(size));
-    println!("{}", exp::unrolling_icache(size));
-    println!("{}", exp::vector_equivalence());
-    println!("{}", exp::complexity_tax(size));
-    println!("{}", exp::limit_study(size));
-    println!("{}", exp::stall_breakdown(size));
-    println!("{}", exp::rules_study(size));
-    println!("{}", exp::bound_study(size));
-    println!("{}", exp::sweep_study(size));
+    for (_, run) in experiments::ALL {
+        println!("{}", run(size));
+    }
 }
