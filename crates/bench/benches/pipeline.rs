@@ -13,10 +13,12 @@
 //! ```
 
 use std::hint::black_box;
+use std::io;
 use std::time::Instant;
+use supersym::isa::InstrClass;
 use supersym::machine::presets;
 use supersym::sim::{simulate, simulate_with_cache, simulate_with_sink, CacheConfig, SimOptions};
-use supersym::trace::{IssueEvent, JsonObject, JsonValue, TraceSink};
+use supersym::trace::{IssueEvent, JsonObject, JsonValue, TimelineSink, TraceSink};
 use supersym::workloads::{linpack, stan};
 use supersym::{compile, CompileOptions, OptLevel};
 
@@ -214,13 +216,36 @@ fn bench_sink_overhead(harness: &mut Harness) {
     harness.time("simulate_sink/none", 10, || {
         black_box(simulate(&program, &machine, SimOptions::default()).unwrap());
     });
-    let mut sink = CountingSink(0);
     harness.time("simulate_sink/counting", 10, || {
+        let mut sink = CountingSink(0);
         black_box(
             simulate_with_sink(&program, &machine, SimOptions::default(), &mut sink).unwrap(),
         );
     });
-    let events = sink.0 / 11;
+    // The full trace_event encoder, streamed to nowhere: the gap to the
+    // `counting` row is the cost of rendering the timeline document.
+    let lanes: Vec<String> = machine
+        .functional_units()
+        .iter()
+        .map(|unit| unit.name().to_string())
+        .collect();
+    let class_lane: Vec<(String, usize)> = InstrClass::ALL
+        .iter()
+        .map(|&class| (class.mnemonic().to_string(), machine.unit_of(class)))
+        .collect();
+    harness.time("simulate_sink/timeline", 10, || {
+        let mut sink =
+            TimelineSink::new(io::sink()).with_pipeline_lanes(lanes.clone(), class_lane.clone());
+        black_box(
+            simulate_with_sink(&program, &machine, SimOptions::default(), &mut sink).unwrap(),
+        );
+        sink.finish().unwrap();
+    });
+    // Events of one run, counted on a run of its own (the timed rows run
+    // warm-ups as well as timed iterations).
+    let mut sink = CountingSink(0);
+    simulate_with_sink(&program, &machine, SimOptions::default(), &mut sink).unwrap();
+    let events = sink.0;
     harness.count(
         "simulate_sink/issue_events_per_iter",
         events,

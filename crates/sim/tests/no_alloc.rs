@@ -14,11 +14,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io;
 
-use supersym_isa::{AsmBuilder, IntReg, Program};
-use supersym_machine::presets;
+use supersym_isa::{AsmBuilder, InstrClass, IntReg, Program};
+use supersym_machine::{presets, MachineConfig};
 use supersym_sim::{simulate, simulate_with_sink, MetricsSink, SimOptions};
-use supersym_trace::{NullSink, TimelineSink};
+use supersym_trace::{JsonLinesSink, NullSink, TimelineSink};
 
 struct CountingAlloc;
 
@@ -177,6 +178,84 @@ fn sink_off_paths_allocate_nothing_per_instruction() {
     assert_eq!(
         metrics_short, metrics_long,
         "MetricsSink recorded with per-instruction allocations"
+    );
+}
+
+/// A timeline sink with simulate lanes named after `machine`'s functional
+/// units, as `titalc profile --timeline` builds it.
+fn timeline_sink(machine: &MachineConfig) -> TimelineSink<io::Sink> {
+    let lanes = machine
+        .functional_units()
+        .iter()
+        .map(|unit| unit.name().to_string())
+        .collect();
+    let class_lane = InstrClass::ALL
+        .iter()
+        .map(|&class| (class.mnemonic().to_string(), machine.unit_of(class)))
+        .collect();
+    TimelineSink::new(io::sink()).with_pipeline_lanes(lanes, class_lane)
+}
+
+#[test]
+fn timeline_sink_allocates_nothing_per_instruction() {
+    // Streaming the trace_event document renders every event into one
+    // reused buffer: once it has grown, spans, counter samples and
+    // block-replay markers cost no allocation however long the run.
+    let short = counted_loop(10);
+    let long = counted_loop(1000);
+    let config = presets::multititan();
+
+    let stream = |program: &Program| {
+        let mut sink = timeline_sink(&config);
+        let report =
+            simulate_with_sink(program, &config, SimOptions::default(), &mut sink).unwrap();
+        sink.finish().unwrap();
+        report
+    };
+    stream(&short);
+
+    let (report_short, allocs_short) = allocations_during(|| stream(&short));
+    let (report_long, allocs_long) = allocations_during(|| stream(&long));
+    assert!(report_long.instructions() > 50 * report_short.instructions());
+    assert_eq!(
+        allocs_short,
+        allocs_long,
+        "TimelineSink allocated per dynamic instruction: \
+         {allocs_short} allocations for {} instructions vs \
+         {allocs_long} for {}",
+        report_short.instructions(),
+        report_long.instructions(),
+    );
+}
+
+#[test]
+fn json_lines_sink_allocates_nothing_per_instruction() {
+    // `titalc --trace`: one JSON line per issue event from one reused
+    // buffer.
+    let short = counted_loop(10);
+    let long = counted_loop(1000);
+    let config = presets::multititan();
+
+    let stream = |program: &Program| {
+        let mut sink = JsonLinesSink::new(io::sink());
+        let report =
+            simulate_with_sink(program, &config, SimOptions::default(), &mut sink).unwrap();
+        sink.finish().unwrap();
+        report
+    };
+    stream(&short);
+
+    let (report_short, allocs_short) = allocations_during(|| stream(&short));
+    let (report_long, allocs_long) = allocations_during(|| stream(&long));
+    assert!(report_long.instructions() > 50 * report_short.instructions());
+    assert_eq!(
+        allocs_short,
+        allocs_long,
+        "JsonLinesSink allocated per dynamic instruction: \
+         {allocs_short} allocations for {} instructions vs \
+         {allocs_long} for {}",
+        report_short.instructions(),
+        report_long.instructions(),
     );
 }
 

@@ -16,9 +16,12 @@
 //!   with stall attribution.
 //! * [`NullSink`] / [`MemorySink`] / [`JsonLinesSink`] — discard, collect,
 //!   or stream as JSON lines.
+//! * [`TimelineSink`] — stream a Chrome `trace_event` timeline.
 //! * [`JsonValue`] / [`JsonObject`] — a small ordered JSON document model
-//!   (the workspace builds offline; no serde), used both for the JSON-lines
-//!   stream and for `titalc profile --json`.
+//!   (the workspace builds offline; no serde) for whole documents:
+//!   `titalc profile --json`, metrics and sweep checkpoints. The two
+//!   streaming sinks do not use it per event: they render each event
+//!   straight into a reused byte buffer and allocate nothing per event.
 //!
 //! Dependency direction: this crate is a leaf — `supersym-sim` and
 //! `supersym` (core) depend on it, never the reverse.
@@ -41,6 +44,8 @@
 
 mod json;
 mod metrics;
+#[cfg(test)]
+mod oracle;
 mod parse;
 mod sink;
 mod timeline;

@@ -10,6 +10,8 @@
 //! — the property the per-record checksum scheme relies on.
 
 use crate::json::JsonValue;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Where and why a parse failed. Offsets are byte offsets into the input.
@@ -39,25 +41,37 @@ impl std::error::Error for JsonParseError {}
 ///
 /// Returns a [`JsonParseError`] locating the first malformed byte.
 pub fn parse_json(text: &str) -> Result<JsonValue, JsonParseError> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        at: 0,
-    };
+    let mut parser = Parser::new(text);
     parser.skip_ws();
     let value = parser.value()?;
-    parser.skip_ws();
-    if parser.at != parser.bytes.len() {
-        return Err(parser.error("trailing characters after value"));
-    }
+    parser.end()?;
     Ok(value)
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            at: 0,
+        }
+    }
+
+    /// Accepts trailing whitespace and nothing else.
+    fn end(&mut self) -> Result<(), JsonParseError> {
+        self.skip_ws();
+        if self.at != self.bytes.len() {
+            return Err(self.error("trailing characters after value"));
+        }
+        Ok(())
+    }
+
     fn error(&self, message: impl Into<String>) -> JsonParseError {
         JsonParseError {
             offset: self.at,
@@ -97,7 +111,7 @@ impl Parser<'_> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
+            Some(b'"') => Ok(JsonValue::Str(self.string()?.into_owned())),
             Some(b't') => self.eat_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.eat_keyword("false", JsonValue::Bool(false)),
             Some(b'n') => self.eat_keyword("null", JsonValue::Null),
@@ -108,12 +122,24 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonParseError> {
-        self.eat(b'{')?;
         let mut pairs = Vec::new();
+        self.object_entries(|parser, key| {
+            pairs.push((key.into_owned(), parser.value()?));
+            Ok(())
+        })?;
+        Ok(JsonValue::Object(pairs))
+    }
+
+    /// Walks an object: for each key, `entry` must consume its value.
+    fn object_entries(
+        &mut self,
+        mut entry: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonParseError>,
+    ) -> Result<(), JsonParseError> {
+        self.eat(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.at += 1;
-            return Ok(JsonValue::Object(pairs));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -121,14 +147,13 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
+            entry(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.at += 1,
                 Some(b'}') => {
                     self.at += 1;
-                    return Ok(JsonValue::Object(pairs));
+                    return Ok(());
                 }
                 _ => return Err(self.error("expected ',' or '}' in object")),
             }
@@ -136,66 +161,86 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonParseError> {
-        self.eat(b'[')?;
         let mut items = Vec::new();
+        self.array_walk(|parser, _| {
+            items.push(parser.value()?);
+            Ok(())
+        })?;
+        Ok(JsonValue::Array(items))
+    }
+
+    /// Walks an array: for each item (by index), `item` must consume it.
+    fn array_walk(
+        &mut self,
+        mut item: impl FnMut(&mut Self, usize) -> Result<(), JsonParseError>,
+    ) -> Result<(), JsonParseError> {
+        self.eat(b'[')?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.at += 1;
-            return Ok(JsonValue::Array(items));
+            return Ok(());
         }
-        loop {
+        for index in 0.. {
             self.skip_ws();
-            items.push(self.value()?);
+            item(self, index)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.at += 1,
                 Some(b']') => {
                     self.at += 1;
-                    return Ok(JsonValue::Array(items));
+                    break;
                 }
                 _ => return Err(self.error("expected ',' or ']' in array")),
             }
         }
+        Ok(())
     }
 
-    fn string(&mut self) -> Result<String, JsonParseError> {
+    /// Reads a string, borrowed from the input when it has no escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonParseError> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote or backslash
+            // as one slice. Both delimiters are ASCII, so the run ends on a
+            // char boundary of the input (multi-byte UTF-8 is legal
+            // unescaped in JSON strings).
+            let start = self.at;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+                .unwrap_or(self.bytes.len() - start);
+            self.at += run;
+            let plain = &self.text[start..self.at];
+            // Every escape appends a char, so an empty `out` means none
+            // has been seen: the whole string is this one run.
+            if out.is_empty() && self.peek() == Some(b'"') {
+                self.at += 1;
+                return Ok(Cow::Borrowed(plain));
+            }
+            out.push_str(plain);
             let Some(c) = self.peek() else {
                 return Err(self.error("unterminated string"));
             };
             self.at += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(escape) = self.peek() else {
-                        return Err(self.error("unterminated escape"));
-                    };
-                    self.at += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => out.push(self.unicode_escape()?),
-                        _ => return Err(self.error("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-borrow the full char (multi-byte UTF-8 is legal
-                    // unescaped in JSON strings).
-                    self.at -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let ch = rest.chars().next().expect("peeked non-empty");
-                    out.push(ch);
-                    self.at += ch.len_utf8();
-                }
+            if c == b'"' {
+                return Ok(Cow::Owned(out));
+            }
+            let Some(escape) = self.peek() else {
+                return Err(self.error("unterminated escape"));
+            };
+            self.at += 1;
+            match escape {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => out.push(self.unicode_escape()?),
+                _ => return Err(self.error("unknown escape")),
             }
         }
     }
@@ -398,66 +443,176 @@ impl std::error::Error for TimelineError {}
 /// * `pid`/`tid` naming is stable: no lane is renamed, and every pid that
 ///   carries events has exactly one `process_name`.
 ///
+/// The document is read in one pass: each event of `traceEvents` is
+/// parsed, checked and dropped before the next, so memory stays bounded
+/// by the largest event and the run time is linear in the document.
+///
 /// # Errors
 ///
 /// [`TimelineError::Parse`] for malformed JSON, [`TimelineError::Invalid`]
 /// (with the offending event's index) for the first violated invariant.
 pub fn validate_timeline(text: &str) -> Result<TimelineReport, TimelineError> {
-    use std::collections::HashMap;
-    let invalid = |message: String| Err(TimelineError::Invalid(message));
-    let doc = parse_json(text).map_err(TimelineError::Parse)?;
-    let schema = doc.get("schema").and_then(JsonValue::as_str);
-    if schema != Some(crate::timeline::TIMELINE_SCHEMA) {
-        return invalid(format!("schema is {schema:?}"));
+    let mut parser = Parser::new(text);
+    // The first occurrence of each top-level key counts, as with
+    // `JsonValue::get`; `traceEvents` is `Some(false)` when not an array.
+    let mut schema: Option<Option<String>> = None;
+    let mut trace_events: Option<bool> = None;
+    let mut lanes = LaneChecker::default();
+    // A violation does not stop the pass: a parse error later in the
+    // document still takes precedence, as does a bad schema.
+    let mut violation: Option<String> = None;
+    parser.skip_ws();
+    if parser.peek() == Some(b'{') {
+        parser
+            .object_entries(|parser, key| {
+                if key == "traceEvents" && trace_events.is_none() && parser.peek() == Some(b'[') {
+                    trace_events = Some(true);
+                    return parser.array_walk(|parser, index| {
+                        let event = EventFields::parse(parser)?;
+                        if violation.is_none() {
+                            violation = lanes
+                                .event(event.as_ref())
+                                .err()
+                                .map(|message| format!("event {index}: {message}"));
+                        }
+                        Ok(())
+                    });
+                }
+                let value = parser.value()?;
+                match &*key {
+                    "schema" if schema.is_none() => {
+                        schema = Some(value.as_str().map(str::to_string));
+                    }
+                    "traceEvents" if trace_events.is_none() => trace_events = Some(false),
+                    _ => {}
+                }
+                Ok(())
+            })
+            .map_err(TimelineError::Parse)?;
+    } else {
+        parser.value().map_err(TimelineError::Parse)?;
     }
-    let Some(events) = doc.get("traceEvents").and_then(JsonValue::as_array) else {
+    parser.end().map_err(TimelineError::Parse)?;
+    let invalid = |message: String| Err(TimelineError::Invalid(message));
+    let schema = schema.flatten();
+    if schema.as_deref() != Some(crate::timeline::TIMELINE_SCHEMA) {
+        return invalid(format!("schema is {:?}", schema.as_deref()));
+    }
+    if trace_events != Some(true) {
         return invalid("missing traceEvents array".to_string());
-    };
-    let mut last_ts: HashMap<(u64, u64), u64> = HashMap::new();
-    let mut open_spans: HashMap<(u64, u64), Vec<String>> = HashMap::new();
-    let mut process_names: HashMap<u64, String> = HashMap::new();
-    let mut thread_names: HashMap<(u64, u64), String> = HashMap::new();
-    let mut counted = 0_usize;
-    for (index, event) in events.iter().enumerate() {
-        let fail =
-            |message: String| Err(TimelineError::Invalid(format!("event {index}: {message}")));
-        if event.as_object().is_none() {
-            return fail("not an object".to_string());
+    }
+    if let Some(message) = violation {
+        return invalid(message);
+    }
+    lanes.finish().or_else(invalid)
+}
+
+/// The fields of one `traceEvents` entry that [`validate_timeline`]
+/// checks: the first occurrence of each key, as `JsonValue::get` would
+/// find it. Every other field is parsed (so malformed JSON still fails)
+/// and dropped at once.
+#[derive(Debug, Default)]
+struct EventFields {
+    ph: Option<JsonValue>,
+    pid: Option<JsonValue>,
+    tid: Option<JsonValue>,
+    ts: Option<JsonValue>,
+    dur: Option<JsonValue>,
+    name: Option<JsonValue>,
+    /// `name` inside the first `args`, when that is an object.
+    args_name: Option<JsonValue>,
+}
+
+impl EventFields {
+    /// Parses one event; `None` when it is not an object.
+    fn parse(parser: &mut Parser<'_>) -> Result<Option<EventFields>, JsonParseError> {
+        if parser.peek() != Some(b'{') {
+            parser.value()?;
+            return Ok(None);
         }
-        let Some(ph) = event.get("ph").and_then(JsonValue::as_str) else {
-            return fail("missing ph".to_string());
+        let mut fields = EventFields::default();
+        let mut args_seen = false;
+        parser.object_entries(|parser, key| {
+            let slot = match &*key {
+                "ph" => &mut fields.ph,
+                "pid" => &mut fields.pid,
+                "tid" => &mut fields.tid,
+                "ts" => &mut fields.ts,
+                "dur" => &mut fields.dur,
+                "name" => &mut fields.name,
+                "args" if !args_seen => {
+                    args_seen = true;
+                    if parser.peek() != Some(b'{') {
+                        return parser.value().map(drop);
+                    }
+                    let args_name = &mut fields.args_name;
+                    return parser.object_entries(|parser, key| {
+                        let value = parser.value()?;
+                        if key == "name" && args_name.is_none() {
+                            *args_name = Some(value);
+                        }
+                        Ok(())
+                    });
+                }
+                _ => return parser.value().map(drop),
+            };
+            let value = parser.value()?;
+            if slot.is_none() {
+                *slot = Some(value);
+            }
+            Ok(())
+        })?;
+        Ok(Some(fields))
+    }
+}
+
+/// The per-lane state [`validate_timeline`] carries from event to event.
+#[derive(Debug, Default)]
+struct LaneChecker {
+    last_ts: HashMap<(u64, u64), u64>,
+    open_spans: HashMap<(u64, u64), Vec<String>>,
+    process_names: HashMap<u64, String>,
+    thread_names: HashMap<(u64, u64), String>,
+    counted: usize,
+}
+
+impl LaneChecker {
+    /// Checks one event against the lanes' state so far; `None` is an
+    /// event that is not an object.
+    fn event(&mut self, event: Option<&EventFields>) -> Result<(), String> {
+        let Some(event) = event else {
+            return Err("not an object".to_string());
+        };
+        let Some(ph) = event.ph.as_ref().and_then(JsonValue::as_str) else {
+            return Err("missing ph".to_string());
         };
         if !matches!(ph, "B" | "E" | "X" | "C" | "i" | "M") {
-            return fail(format!("unknown ph `{ph}`"));
+            return Err(format!("unknown ph `{ph}`"));
         }
-        let Some(pid) = event.get("pid").and_then(JsonValue::as_u64) else {
-            return fail("missing integral pid".to_string());
+        let Some(pid) = event.pid.as_ref().and_then(JsonValue::as_u64) else {
+            return Err("missing integral pid".to_string());
         };
-        let Some(tid) = event.get("tid").and_then(JsonValue::as_u64) else {
-            return fail("missing integral tid".to_string());
+        let Some(tid) = event.tid.as_ref().and_then(JsonValue::as_u64) else {
+            return Err("missing integral tid".to_string());
         };
         let lane = (pid, tid);
-        let name = event.get("name").and_then(JsonValue::as_str);
+        let name = event.name.as_ref().and_then(JsonValue::as_str);
         if ph == "M" {
-            let Some(arg_name) = event
-                .get("args")
-                .and_then(|args| args.get("name"))
-                .and_then(JsonValue::as_str)
-            else {
-                return fail("metadata event without args.name".to_string());
+            let Some(arg_name) = event.args_name.as_ref().and_then(JsonValue::as_str) else {
+                return Err("metadata event without args.name".to_string());
             };
             match name {
                 Some("process_name") => {
-                    if let Some(previous) = process_names.insert(pid, arg_name.to_string()) {
+                    if let Some(previous) = self.process_names.insert(pid, arg_name.to_string()) {
                         if previous != arg_name {
-                            return fail(format!("pid {pid} renamed `{previous}` -> `{arg_name}`"));
+                            return Err(format!("pid {pid} renamed `{previous}` -> `{arg_name}`"));
                         }
                     }
                 }
                 Some("thread_name") => {
-                    if let Some(previous) = thread_names.insert(lane, arg_name.to_string()) {
+                    if let Some(previous) = self.thread_names.insert(lane, arg_name.to_string()) {
                         if previous != arg_name {
-                            return fail(format!(
+                            return Err(format!(
                                 "lane {pid}:{tid} renamed `{previous}` -> `{arg_name}`"
                             ));
                         }
@@ -465,52 +620,57 @@ pub fn validate_timeline(text: &str) -> Result<TimelineReport, TimelineError> {
                 }
                 _ => {}
             }
-            continue;
+            return Ok(());
         }
-        counted += 1;
-        let Some(ts) = event.get("ts").and_then(JsonValue::as_u64) else {
-            return fail("missing integral ts".to_string());
+        self.counted += 1;
+        let Some(ts) = event.ts.as_ref().and_then(JsonValue::as_u64) else {
+            return Err("missing integral ts".to_string());
         };
-        if let Some(&previous) = last_ts.get(&lane) {
+        if let Some(previous) = self.last_ts.insert(lane, ts) {
             if ts < previous {
-                return fail(format!(
+                return Err(format!(
                     "lane {pid}:{tid} ts went backwards ({previous} -> {ts})"
                 ));
             }
         }
-        last_ts.insert(lane, ts);
         match ph {
-            "X" if event.get("dur").and_then(JsonValue::as_u64).is_none() => {
-                return fail("X event without integral dur".to_string());
+            "X" if event.dur.as_ref().and_then(JsonValue::as_u64).is_none() => {
+                Err("X event without integral dur".to_string())
             }
             "B" => {
-                open_spans
+                self.open_spans
                     .entry(lane)
                     .or_default()
                     .push(name.unwrap_or("").to_string());
+                Ok(())
             }
             // The guard pops the span either way; only a pop from an
             // empty stack (no matching B) takes the arm.
-            "E" if open_spans.entry(lane).or_default().pop().is_none() => {
-                return fail(format!("lane {pid}:{tid} E without matching B"));
+            "E" if self.open_spans.entry(lane).or_default().pop().is_none() => {
+                Err(format!("lane {pid}:{tid} E without matching B"))
             }
-            _ => {}
+            _ => Ok(()),
         }
     }
-    for ((pid, tid), stack) in &open_spans {
-        if let Some(name) = stack.last() {
-            return invalid(format!("lane {pid}:{tid} unclosed B span `{name}`"));
+
+    /// The checks that need the whole document: every `B` closed, every
+    /// pid with events named.
+    fn finish(self) -> Result<TimelineReport, String> {
+        for ((pid, tid), stack) in &self.open_spans {
+            if let Some(name) = stack.last() {
+                return Err(format!("lane {pid}:{tid} unclosed B span `{name}`"));
+            }
         }
-    }
-    for &(pid, _) in last_ts.keys() {
-        if !process_names.contains_key(&pid) {
-            return invalid(format!("pid {pid} has events but no process_name"));
+        for &(pid, _) in self.last_ts.keys() {
+            if !self.process_names.contains_key(&pid) {
+                return Err(format!("pid {pid} has events but no process_name"));
+            }
         }
+        Ok(TimelineReport {
+            events: self.counted,
+            lanes: self.last_ts.len(),
+        })
     }
-    Ok(TimelineReport {
-        events: counted,
-        lanes: last_ts.len(),
-    })
 }
 
 #[cfg(test)]
@@ -556,6 +716,105 @@ mod tests {
         let original = JsonValue::str("a\"b\\c\nd\te\u{1}f\u{263A}");
         let rendered = original.to_string();
         assert_eq!(parse_json(&rendered).unwrap(), original);
+    }
+
+    #[test]
+    fn strings_mixing_multibyte_utf8_and_escapes_parse() {
+        // Plain runs holding 2-, 3- and 4-byte characters, split by
+        // escapes at the start, middle and end of the string.
+        let text = r#""\tdéjà\"vu\\→\n😀\u0001ü\/z\u00e9""#;
+        assert_eq!(
+            parse_json(text).unwrap(),
+            JsonValue::str("\tdéjà\"vu\\→\n😀\u{1}ü/zé")
+        );
+        // And the writer's own rendering of such a string round-trips.
+        let original = JsonValue::str("ß\"∑\\😀\r\u{1f}ok");
+        assert_eq!(parse_json(&original.to_string()).unwrap(), original);
+    }
+
+    fn verdict(text: &str) -> Result<TimelineReport, String> {
+        validate_timeline(text).map_err(|error| match error {
+            TimelineError::Parse(_) => "parse".to_string(),
+            TimelineError::Invalid(message) => message,
+        })
+    }
+
+    const COMPILE_META: &str =
+        r#"{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"compile"}}"#;
+
+    #[test]
+    fn streaming_validation_keeps_the_document_verdict_order() {
+        let doc = |events: &str, tail: &str| {
+            format!(r#"{{"schema":"supersym.timeline/v1","traceEvents":[{events}]{tail}}}"#)
+        };
+        let backwards = format!(
+            r#"{COMPILE_META},{{"ph":"X","pid":1,"tid":1,"ts":9,"dur":1}},{{"ph":"X","pid":1,"tid":1,"ts":3,"dur":1}}"#
+        );
+        assert_eq!(
+            verdict(&doc(&backwards, "")),
+            Err("event 2: lane 1:1 ts went backwards (9 -> 3)".to_string())
+        );
+        // Malformed JSON after the violation is still a parse error.
+        assert_eq!(
+            verdict(&doc(&backwards, r#","x":tru"#)),
+            Err("parse".to_string())
+        );
+        // A bad schema after the events outranks the violation.
+        assert_eq!(
+            verdict(&format!(r#"{{"traceEvents":[{backwards}],"schema":"v0"}}"#)),
+            Err(r#"schema is Some("v0")"#.to_string())
+        );
+        let late_schema = format!(
+            r#"{{"traceEvents":[{COMPILE_META},{{"ph":"i","pid":1,"tid":1,"ts":0}}],"schema":"supersym.timeline/v1"}}"#
+        );
+        assert_eq!(
+            verdict(&late_schema),
+            Ok(TimelineReport {
+                events: 1,
+                lanes: 1
+            })
+        );
+        assert_eq!(
+            verdict(r#"{"schema":"x","traceEvents":[]}"#),
+            Err(r#"schema is Some("x")"#.to_string())
+        );
+        assert_eq!(
+            verdict(r#"{"schema":"supersym.timeline/v1","traceEvents":{}}"#),
+            Err("missing traceEvents array".to_string())
+        );
+        assert_eq!(verdict("[1]"), Err("schema is None".to_string()));
+    }
+
+    #[test]
+    fn streaming_validation_reads_the_first_occurrence_of_each_field() {
+        let doc = |events: &str| {
+            format!(r#"{{"schema":"supersym.timeline/v1","traceEvents":[{events}]}}"#)
+        };
+        // The first `ph` is not a string: missing, whatever follows.
+        assert_eq!(
+            verdict(&doc(r#"{"ph":1,"ph":"X","pid":1,"tid":1,"ts":0,"dur":1}"#)),
+            Err("event 0: missing ph".to_string())
+        );
+        // The first `args` names the process; a second one is ignored.
+        let renamed = format!(
+            r#"{COMPILE_META},{{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{{"name":"other"}},"args":{{"name":"compile"}}}}"#
+        );
+        assert_eq!(
+            verdict(&doc(&renamed)),
+            Err("event 1: pid 1 renamed `compile` -> `other`".to_string())
+        );
+        assert_eq!(
+            verdict(&doc(r#"{"ph":"M","pid":1,"tid":0,"args":[]}"#)),
+            Err("event 0: metadata event without args.name".to_string())
+        );
+        assert_eq!(
+            verdict(&doc(r#"7"#)),
+            Err("event 0: not an object".to_string())
+        );
+        assert_eq!(
+            verdict(&doc(r#"{"ph":"B","pid":1,"tid":1,"ts":0,"name":"a\"b"}"#)),
+            Err("lane 1:1 unclosed B span `a\"b`".to_string())
+        );
     }
 
     #[test]

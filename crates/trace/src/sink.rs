@@ -10,7 +10,7 @@
 //! * [`IssueEvent`] — one per dynamic instruction: issue/complete/drain
 //!   cycles, how long it waited, and the stall cause that bound it.
 
-use crate::json::{JsonObject, JsonValue};
+use crate::json::{push_counters, push_str, push_u64, EventWriter};
 use std::io::{self, Write};
 
 /// One compile phase, reported after the phase finishes.
@@ -211,18 +211,21 @@ impl TraceSink for LoopCountSink {
 }
 
 /// Streams events as JSON lines (one object per line) to any writer — the
-/// sink behind `titalc --trace <file>`. Write errors are sticky: the first
-/// one is kept and the sink goes quiet, so the hot path needs no `Result`.
+/// sink behind `titalc --trace <file>`. Each line is rendered into a
+/// reused buffer and written with one `write_all`, so streaming allocates
+/// nothing per event. Write errors are sticky: the first one is kept and
+/// the sink goes quiet, so the hot path needs no `Result`.
 #[derive(Debug)]
 pub struct JsonLinesSink<W: Write> {
-    out: W,
-    error: Option<io::Error>,
+    out: EventWriter<W>,
 }
 
 impl<W: Write> JsonLinesSink<W> {
     /// Wraps a writer (hand it a `BufWriter` for file output).
     pub fn new(out: W) -> Self {
-        JsonLinesSink { out, error: None }
+        JsonLinesSink {
+            out: EventWriter::new(out),
+        }
     }
 
     /// Flushes and returns the writer, or the first write error.
@@ -230,61 +233,57 @@ impl<W: Write> JsonLinesSink<W> {
     /// # Errors
     ///
     /// Returns the first I/O error the sink swallowed while streaming.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(error) = self.error {
-            return Err(error);
-        }
-        self.out.flush()?;
-        Ok(self.out)
+    pub fn finish(self) -> io::Result<W> {
+        self.out.finish(b"")
     }
+}
 
-    fn write_value(&mut self, value: &JsonValue) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(error) = writeln!(self.out, "{value}") {
-            self.error = Some(error);
-        }
+/// Appends a compile phase's JSON line.
+pub(crate) fn phase_line(line: &mut Vec<u8>, record: &PhaseRecord<'_>) {
+    line.extend_from_slice(br#"{"event":"phase","name":"#);
+    push_str(line, record.name);
+    line.extend_from_slice(br#","wall_ns":"#);
+    push_u64(line, clamp_u128(record.wall_ns));
+    line.extend_from_slice(br#","counters":"#);
+    push_counters(line, record.counters);
+    line.extend_from_slice(b"}\n");
+}
+
+/// Appends an issue event's JSON line.
+pub(crate) fn issue_line(line: &mut Vec<u8>, event: &IssueEvent) {
+    line.extend_from_slice(br#"{"event":"issue","func":"#);
+    push_u64(line, u64::from(event.func));
+    line.extend_from_slice(br#","pc":"#);
+    push_u64(line, event.pc);
+    line.extend_from_slice(br#","class":"#);
+    push_str(line, event.class);
+    line.extend_from_slice(br#","issue":"#);
+    push_u64(line, event.issue);
+    line.extend_from_slice(br#","complete":"#);
+    push_u64(line, event.complete);
+    line.extend_from_slice(br#","drain":"#);
+    push_u64(line, event.drain);
+    line.extend_from_slice(br#","wait":"#);
+    push_u64(line, event.wait);
+    line.extend_from_slice(br#","cause":"#);
+    match event.cause {
+        Some(label) => push_str(line, label),
+        None => line.extend_from_slice(b"null"),
     }
+    line.extend_from_slice(b"}\n");
 }
 
 impl<W: Write> TraceSink for JsonLinesSink<W> {
     fn phase(&mut self, record: &PhaseRecord<'_>) {
-        let counters = record
-            .counters
-            .iter()
-            .map(|&(k, v)| (k.to_string(), JsonValue::UInt(v)))
-            .collect();
-        let value = JsonObject::new()
-            .field("event", JsonValue::str("phase"))
-            .field("name", JsonValue::str(record.name))
-            .field("wall_ns", JsonValue::UInt(clamp_u128(record.wall_ns)))
-            .field("counters", JsonValue::Object(counters))
-            .build();
-        self.write_value(&value);
+        self.out.emit(|line| phase_line(line, record));
     }
 
     fn issue(&mut self, event: &IssueEvent) {
-        let cause = match event.cause {
-            Some(label) => JsonValue::str(label),
-            None => JsonValue::Null,
-        };
-        let value = JsonObject::new()
-            .field("event", JsonValue::str("issue"))
-            .field("func", JsonValue::UInt(u64::from(event.func)))
-            .field("pc", JsonValue::UInt(event.pc))
-            .field("class", JsonValue::str(event.class))
-            .field("issue", JsonValue::UInt(event.issue))
-            .field("complete", JsonValue::UInt(event.complete))
-            .field("drain", JsonValue::UInt(event.drain))
-            .field("wait", JsonValue::UInt(event.wait))
-            .field("cause", cause)
-            .build();
-        self.write_value(&value);
+        self.out.emit(|line| issue_line(line, event));
     }
 }
 
-fn clamp_u128(n: u128) -> u64 {
+pub(crate) fn clamp_u128(n: u128) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
 }
 

@@ -14,13 +14,15 @@
 //!   executed cell (wall-clock microseconds since the sweep started) and
 //!   instant markers for cache hits and quarantines.
 //!
-//! The sink follows the [`crate::sink::JsonLinesSink`] discipline: write
-//! errors are sticky (the sink goes quiet after the first) and surface at
-//! [`TimelineSink::finish`]. Lane timestamps are emitted monotonically
-//! nondecreasing per `(pid, tid)` — the invariant the validator in
-//! [`crate::parse`] enforces.
+//! The sink follows the [`crate::sink::JsonLinesSink`] discipline: each
+//! event is rendered into a reused buffer and sent with one `write_all`
+//! (nothing is allocated per event once the buffers have grown), and
+//! write errors are sticky (the sink goes quiet after the first) and
+//! surface at [`TimelineSink::finish`]. Lane timestamps are emitted
+//! monotonically nondecreasing per `(pid, tid)` — the invariant the
+//! validator in [`crate::parse`] enforces.
 
-use crate::json::{JsonObject, JsonValue};
+use crate::json::{push_counters, push_str, push_u64, EventWriter};
 use crate::sink::{BlockReplayEvent, IssueEvent, PhaseRecord, TraceSink};
 use std::io::{self, Write};
 
@@ -34,6 +36,13 @@ pub const PID_SIMULATE: u64 = 2;
 /// Process lane of sweep workers.
 pub const PID_SWEEP: u64 = 3;
 
+/// Appends the document's opening, up to its `traceEvents` bracket.
+fn open_document(line: &mut Vec<u8>) {
+    line.extend_from_slice(b"{\"schema\":\"");
+    line.extend_from_slice(TIMELINE_SCHEMA.as_bytes());
+    line.extend_from_slice(b"\",\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+}
+
 /// Streams a `supersym.timeline/v1` Chrome `trace_event` document.
 ///
 /// Constructed bare (compile and sweep lanes work immediately) or with
@@ -42,8 +51,7 @@ pub const PID_SWEEP: u64 = 3;
 /// handed directly to `compile_with_trace` and `simulate_with_sink`.
 #[derive(Debug)]
 pub struct TimelineSink<W: Write> {
-    out: W,
-    error: Option<io::Error>,
+    out: EventWriter<W>,
     any_event: bool,
     /// Cumulative compile-lane clock, microseconds.
     compile_us: u64,
@@ -52,6 +60,9 @@ pub struct TimelineSink<W: Write> {
     lanes: Vec<String>,
     /// Class mnemonic → lane index; unmapped classes share an extra lane.
     class_lane: Vec<(String, usize)>,
+    /// Lane tid of each class mnemonic seen so far, keyed by the
+    /// mnemonic's address: each class is looked up in `class_lane` once.
+    class_tid: Vec<(&'static str, u64)>,
     pipeline_meta: bool,
     cur_cycle: u64,
     issued_in_cycle: u64,
@@ -66,13 +77,13 @@ impl<W: Write> TimelineSink<W> {
     /// Wraps a writer (hand it a `BufWriter` for file output).
     pub fn new(out: W) -> Self {
         TimelineSink {
-            out,
-            error: None,
+            out: EventWriter::new(out),
             any_event: false,
             compile_us: 0,
             compile_meta: false,
             lanes: Vec::new(),
             class_lane: Vec::new(),
+            class_tid: Vec::new(),
             pipeline_meta: false,
             cur_cycle: 0,
             issued_in_cycle: 0,
@@ -94,6 +105,7 @@ impl<W: Write> TimelineSink<W> {
     ) -> Self {
         self.lanes = lanes;
         self.class_lane = class_lane;
+        self.class_tid.clear();
         self
     }
 
@@ -107,75 +119,34 @@ impl<W: Write> TimelineSink<W> {
         // Final counter samples for the last simulated cycle.
         if self.issued_in_cycle > 0 {
             let (cycle, issued) = (self.cur_cycle, self.issued_in_cycle);
-            self.counter(cycle, "ipc", issued);
+            self.emit(|line| counter(line, cycle, "ipc", issued));
         }
-        if let Some(error) = self.error {
-            return Err(error);
-        }
-        if self.any_event {
-            self.out.write_all(b"\n]}\n")?;
-        } else {
+        if !self.any_event {
             // No event ever opened the document; write a complete empty one.
-            writeln!(
-                self.out,
-                "{{\"schema\":\"{TIMELINE_SCHEMA}\",\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}}"
-            )?;
+            self.out.emit(|line| {
+                open_document(line);
+                line.extend_from_slice(b"]}\n");
+            });
+            return self.out.finish(b"");
         }
-        self.out.flush()?;
-        Ok(self.out)
+        self.out.finish(b"\n]}\n")
     }
 
-    fn emit(&mut self, value: &JsonValue) {
-        if self.error.is_some() {
-            return;
+    /// Writes one event: the document header before the first, a `,`
+    /// separator before the rest.
+    fn emit(&mut self, render: impl FnOnce(&mut Vec<u8>)) {
+        let first = !self.any_event;
+        if self.out.emit(|line| {
+            if first {
+                open_document(line);
+                line.push(b'\n');
+            } else {
+                line.extend_from_slice(b",\n");
+            }
+            render(line);
+        }) {
+            self.any_event = true;
         }
-        let result = if self.any_event {
-            self.out.write_all(b",\n")
-        } else {
-            writeln!(
-                self.out,
-                "{{\"schema\":\"{TIMELINE_SCHEMA}\",\"displayTimeUnit\":\"ms\",\"traceEvents\":["
-            )
-        };
-        if let Err(error) = result.and_then(|()| write!(self.out, "{value}")) {
-            self.error = Some(error);
-            return;
-        }
-        self.any_event = true;
-    }
-
-    /// Emits a `process_name`/`thread_name` metadata event.
-    fn meta(&mut self, pid: u64, tid: u64, kind: &str, name: &str) {
-        let value = JsonObject::new()
-            .field("ph", JsonValue::str("M"))
-            .field("pid", JsonValue::UInt(pid))
-            .field("tid", JsonValue::UInt(tid))
-            .field("name", JsonValue::str(kind))
-            .field(
-                "args",
-                JsonObject::new()
-                    .field("name", JsonValue::str(name))
-                    .build(),
-            )
-            .build();
-        self.emit(&value);
-    }
-
-    fn counter(&mut self, ts: u64, name: &str, value: u64) {
-        let event = JsonObject::new()
-            .field("ph", JsonValue::str("C"))
-            .field("pid", JsonValue::UInt(PID_SIMULATE))
-            .field("tid", JsonValue::UInt(0))
-            .field("ts", JsonValue::UInt(ts))
-            .field("name", JsonValue::str(name))
-            .field(
-                "args",
-                JsonObject::new()
-                    .field("value", JsonValue::UInt(value))
-                    .build(),
-            )
-            .build();
-        self.emit(&event);
     }
 
     fn ensure_pipeline_meta(&mut self) {
@@ -183,40 +154,42 @@ impl<W: Write> TimelineSink<W> {
             return;
         }
         self.pipeline_meta = true;
-        self.meta(PID_SIMULATE, 0, "process_name", "simulate");
-        for index in 0..self.lanes.len() {
-            let name = self.lanes[index].clone();
-            self.meta(PID_SIMULATE, index as u64 + 1, "thread_name", &name);
+        self.emit(|line| meta(line, PID_SIMULATE, 0, "process_name", "simulate"));
+        let lanes = std::mem::take(&mut self.lanes);
+        for (index, name) in lanes.iter().enumerate() {
+            self.emit(|line| meta(line, PID_SIMULATE, index as u64 + 1, "thread_name", name));
         }
-        self.meta(
-            PID_SIMULATE,
-            self.lanes.len() as u64 + 1,
-            "thread_name",
-            "other",
-        );
-        self.meta(
-            PID_SIMULATE,
-            self.lanes.len() as u64 + 2,
-            "thread_name",
-            "block cache",
-        );
+        self.lanes = lanes;
+        let other = self.lanes.len() as u64 + 1;
+        self.emit(|line| meta(line, PID_SIMULATE, other, "thread_name", "other"));
+        self.emit(|line| meta(line, PID_SIMULATE, other + 1, "thread_name", "block cache"));
     }
 
-    fn lane_of(&self, class: &str) -> u64 {
-        self.class_lane
+    fn lane_of(&mut self, class: &'static str) -> u64 {
+        if let Some(&(_, tid)) = self
+            .class_tid
+            .iter()
+            .find(|&&(seen, _)| std::ptr::eq(seen, class))
+        {
+            return tid;
+        }
+        let tid = self
+            .class_lane
             .iter()
             .find(|(mnemonic, _)| mnemonic == class)
-            .map_or(self.lanes.len() as u64 + 1, |&(_, lane)| lane as u64 + 1)
+            .map_or(self.lanes.len() as u64 + 1, |&(_, lane)| lane as u64 + 1);
+        self.class_tid.push((class, tid));
+        tid
     }
 
     /// Advances the simulate clock to `cycle`, emitting the `ipc` sample
     /// for the finished cycle and the `inflight` sample at the new one.
     fn advance_cycle(&mut self, cycle: u64) {
         let (finished, issued) = (self.cur_cycle, self.issued_in_cycle);
-        self.counter(finished, "ipc", issued);
+        self.emit(|line| counter(line, finished, "ipc", issued));
         self.inflight.retain(|&drain| drain > cycle);
         let live = self.inflight.len() as u64;
-        self.counter(cycle, "inflight", live);
+        self.emit(|line| counter(line, cycle, "inflight", live));
         self.cur_cycle = cycle;
         self.issued_in_cycle = 0;
     }
@@ -226,7 +199,7 @@ impl<W: Write> TimelineSink<W> {
             return;
         }
         self.sweep_meta = true;
-        self.meta(PID_SWEEP, 0, "process_name", "sweep");
+        self.emit(|line| meta(line, PID_SWEEP, 0, "process_name", "sweep"));
     }
 
     fn ensure_worker_named(&mut self, worker: usize) {
@@ -236,7 +209,7 @@ impl<W: Write> TimelineSink<W> {
         if !self.named_workers[worker] {
             self.named_workers[worker] = true;
             let name = format!("worker {worker}");
-            self.meta(PID_SWEEP, worker as u64 + 1, "thread_name", &name);
+            self.emit(|line| meta(line, PID_SWEEP, worker as u64 + 1, "thread_name", &name));
         }
     }
 
@@ -247,58 +220,159 @@ impl<W: Write> TimelineSink<W> {
     pub fn sweep_item(&mut self, item: &SweepItem<'_>) {
         self.ensure_sweep_meta();
         self.ensure_worker_named(item.worker);
-        let tid = item.worker as u64 + 1;
-        let item_args = JsonObject::new()
-            .field("cell", JsonValue::str(item.cell))
-            .field("workload", JsonValue::str(item.workload))
-            .field("status", JsonValue::str(item.status))
-            .build();
         if item.cached {
-            let marker = JsonObject::new()
-                .field("ph", JsonValue::str("i"))
-                .field("pid", JsonValue::UInt(PID_SWEEP))
-                .field("tid", JsonValue::UInt(tid))
-                .field("ts", JsonValue::UInt(item.start_us))
-                .field("s", JsonValue::str("t"))
-                .field("name", JsonValue::str("cache hit"))
-                .field("args", item_args)
-                .build();
-            self.emit(&marker);
+            self.emit(|line| cache_hit_marker(line, item));
             return;
         }
-        let span = JsonObject::new()
-            .field("ph", JsonValue::str("X"))
-            .field("pid", JsonValue::UInt(PID_SWEEP))
-            .field("tid", JsonValue::UInt(tid))
-            .field("ts", JsonValue::UInt(item.start_us))
-            .field(
-                "dur",
-                JsonValue::UInt(item.end_us.saturating_sub(item.start_us)),
-            )
-            .field("cat", JsonValue::str("sweep"))
-            .field("name", JsonValue::str(item.workload))
-            .field("args", item_args)
-            .build();
-        self.emit(&span);
+        self.emit(|line| sweep_span(line, item));
         if item.status != "ok" {
-            let marker = JsonObject::new()
-                .field("ph", JsonValue::str("i"))
-                .field("pid", JsonValue::UInt(PID_SWEEP))
-                .field("tid", JsonValue::UInt(tid))
-                .field("ts", JsonValue::UInt(item.end_us))
-                .field("s", JsonValue::str("t"))
-                .field("name", JsonValue::str("quarantine"))
-                .field(
-                    "args",
-                    JsonObject::new()
-                        .field("cell", JsonValue::str(item.cell))
-                        .field("status", JsonValue::str(item.status))
-                        .build(),
-                )
-                .build();
-            self.emit(&marker);
+            self.emit(|line| quarantine_marker(line, item));
         }
     }
+}
+
+/// Appends a `process_name`/`thread_name` metadata event.
+pub(crate) fn meta(line: &mut Vec<u8>, pid: u64, tid: u64, kind: &str, name: &str) {
+    line.extend_from_slice(br#"{"ph":"M","pid":"#);
+    push_u64(line, pid);
+    line.extend_from_slice(br#","tid":"#);
+    push_u64(line, tid);
+    line.extend_from_slice(br#","name":"#);
+    push_str(line, kind);
+    line.extend_from_slice(br#","args":{"name":"#);
+    push_str(line, name);
+    line.extend_from_slice(b"}}");
+}
+
+/// Appends a sample on the simulate process's counter track.
+pub(crate) fn counter(line: &mut Vec<u8>, ts: u64, name: &str, value: u64) {
+    line.extend_from_slice(br#"{"ph":"C","pid":"#);
+    push_u64(line, PID_SIMULATE);
+    line.extend_from_slice(br#","tid":0,"ts":"#);
+    push_u64(line, ts);
+    line.extend_from_slice(br#","name":"#);
+    push_str(line, name);
+    line.extend_from_slice(br#","args":{"value":"#);
+    push_u64(line, value);
+    line.extend_from_slice(b"}}");
+}
+
+/// Appends one compile phase as a span starting at `ts_us` on the phases
+/// lane.
+pub(crate) fn phase_span(line: &mut Vec<u8>, record: &PhaseRecord<'_>, ts_us: u64) {
+    line.extend_from_slice(br#"{"ph":"X","pid":"#);
+    push_u64(line, PID_COMPILE);
+    line.extend_from_slice(br#","tid":1,"ts":"#);
+    push_u64(line, ts_us);
+    line.extend_from_slice(br#","dur":"#);
+    push_u64(line, phase_dur_us(record));
+    line.extend_from_slice(br#","cat":"compile","name":"#);
+    push_str(line, record.name);
+    line.extend_from_slice(br#","args":"#);
+    push_counters(line, record.counters);
+    line.push(b'}');
+}
+
+fn phase_dur_us(record: &PhaseRecord<'_>) -> u64 {
+    u64::try_from(record.wall_ns / 1000).unwrap_or(u64::MAX)
+}
+
+/// Appends one dynamic instruction as a span over `[issue, drain)` on
+/// lane `tid`.
+pub(crate) fn issue_span(line: &mut Vec<u8>, event: &IssueEvent, tid: u64) {
+    // The span is `[issue, drain)`: `machine_cycles` is the maximum
+    // drain, so no bar extends past the end of the run and per-lane
+    // occupancy stays within the cycle account's total.
+    let dur = event.drain.saturating_sub(event.issue).max(1);
+    line.extend_from_slice(br#"{"ph":"X","pid":"#);
+    push_u64(line, PID_SIMULATE);
+    line.extend_from_slice(br#","tid":"#);
+    push_u64(line, tid);
+    line.extend_from_slice(br#","ts":"#);
+    push_u64(line, event.issue);
+    line.extend_from_slice(br#","dur":"#);
+    push_u64(line, dur);
+    line.extend_from_slice(br#","cat":"pipeline","name":"#);
+    push_str(line, event.class);
+    line.extend_from_slice(br#","args":{"pc":"#);
+    push_u64(line, event.pc);
+    line.extend_from_slice(br#","wait":"#);
+    push_u64(line, event.wait);
+    if let Some(cause) = event.cause {
+        line.extend_from_slice(br#","cause":"#);
+        push_str(line, cause);
+    }
+    line.extend_from_slice(b"}}");
+}
+
+/// Appends a block-cache replay (or fallback) as an instant marker on
+/// lane `tid`.
+pub(crate) fn replay_marker(line: &mut Vec<u8>, event: &BlockReplayEvent, tid: u64) {
+    line.extend_from_slice(br#"{"ph":"i","pid":"#);
+    push_u64(line, PID_SIMULATE);
+    line.extend_from_slice(br#","tid":"#);
+    push_u64(line, tid);
+    line.extend_from_slice(br#","ts":"#);
+    push_u64(line, event.cycle);
+    line.extend_from_slice(br#","s":"t","name":"#);
+    push_str(line, if event.hit { "replay" } else { "fallback" });
+    line.extend_from_slice(br#","args":{"func":"#);
+    push_u64(line, u64::from(event.func));
+    line.extend_from_slice(br#","pc":"#);
+    push_u64(line, event.pc);
+    line.extend_from_slice(br#","instructions":"#);
+    push_u64(line, u64::from(event.instructions));
+    line.extend_from_slice(b"}}");
+}
+
+/// Opens an event on a sweep worker's lane: the brace, then its `"ph"`,
+/// `"pid"`, `"tid"` and `"ts"` fields.
+fn sweep_lane(line: &mut Vec<u8>, ph: &str, item: &SweepItem<'_>, ts: u64) {
+    line.extend_from_slice(br#"{"ph":"#);
+    push_str(line, ph);
+    line.extend_from_slice(br#","pid":"#);
+    push_u64(line, PID_SWEEP);
+    line.extend_from_slice(br#","tid":"#);
+    push_u64(line, item.worker as u64 + 1);
+    line.extend_from_slice(br#","ts":"#);
+    push_u64(line, ts);
+}
+
+fn sweep_item_args(line: &mut Vec<u8>, item: &SweepItem<'_>) {
+    line.extend_from_slice(br#","args":{"cell":"#);
+    push_str(line, item.cell);
+    line.extend_from_slice(br#","workload":"#);
+    push_str(line, item.workload);
+    line.extend_from_slice(br#","status":"#);
+    push_str(line, item.status);
+    line.extend_from_slice(b"}}");
+}
+
+/// Appends a sweep item served from the cache, as an instant marker.
+pub(crate) fn cache_hit_marker(line: &mut Vec<u8>, item: &SweepItem<'_>) {
+    sweep_lane(line, "i", item, item.start_us);
+    line.extend_from_slice(br#","s":"t","name":"cache hit""#);
+    sweep_item_args(line, item);
+}
+
+/// Appends an executed sweep item as a span over `[start_us, end_us]`.
+pub(crate) fn sweep_span(line: &mut Vec<u8>, item: &SweepItem<'_>) {
+    sweep_lane(line, "X", item, item.start_us);
+    line.extend_from_slice(br#","dur":"#);
+    push_u64(line, item.end_us.saturating_sub(item.start_us));
+    line.extend_from_slice(br#","cat":"sweep","name":"#);
+    push_str(line, item.workload);
+    sweep_item_args(line, item);
+}
+
+/// Appends the marker a non-`"ok"` sweep item drops at its end.
+pub(crate) fn quarantine_marker(line: &mut Vec<u8>, item: &SweepItem<'_>) {
+    sweep_lane(line, "i", item, item.end_us);
+    line.extend_from_slice(br#","s":"t","name":"quarantine","args":{"cell":"#);
+    push_str(line, item.cell);
+    line.extend_from_slice(br#","status":"#);
+    push_str(line, item.status);
+    line.extend_from_slice(b"}}");
 }
 
 /// One finished sweep item, as rendered on a worker lane by
@@ -325,26 +399,12 @@ impl<W: Write> TraceSink for TimelineSink<W> {
     fn phase(&mut self, record: &PhaseRecord<'_>) {
         if !self.compile_meta {
             self.compile_meta = true;
-            self.meta(PID_COMPILE, 0, "process_name", "compile");
-            self.meta(PID_COMPILE, 1, "thread_name", "phases");
+            self.emit(|line| meta(line, PID_COMPILE, 0, "process_name", "compile"));
+            self.emit(|line| meta(line, PID_COMPILE, 1, "thread_name", "phases"));
         }
-        let dur_us = u64::try_from(record.wall_ns / 1000).unwrap_or(u64::MAX);
-        let mut args = JsonObject::new();
-        for &(key, value) in record.counters {
-            args = args.field(key, JsonValue::UInt(value));
-        }
-        let event = JsonObject::new()
-            .field("ph", JsonValue::str("X"))
-            .field("pid", JsonValue::UInt(PID_COMPILE))
-            .field("tid", JsonValue::UInt(1))
-            .field("ts", JsonValue::UInt(self.compile_us))
-            .field("dur", JsonValue::UInt(dur_us))
-            .field("cat", JsonValue::str("compile"))
-            .field("name", JsonValue::str(record.name))
-            .field("args", args.build())
-            .build();
-        self.emit(&event);
-        self.compile_us = self.compile_us.saturating_add(dur_us);
+        let ts_us = self.compile_us;
+        self.emit(|line| phase_span(line, record, ts_us));
+        self.compile_us = self.compile_us.saturating_add(phase_dur_us(record));
     }
 
     fn issue(&mut self, event: &IssueEvent) {
@@ -355,27 +415,7 @@ impl<W: Write> TraceSink for TimelineSink<W> {
         self.issued_in_cycle += 1;
         self.inflight.push(event.drain);
         let tid = self.lane_of(event.class);
-        // The span is `[issue, drain)`: `machine_cycles` is the maximum
-        // drain, so no bar extends past the end of the run and per-lane
-        // occupancy stays within the cycle account's total.
-        let dur = event.drain.saturating_sub(event.issue).max(1);
-        let mut args = JsonObject::new()
-            .field("pc", JsonValue::UInt(event.pc))
-            .field("wait", JsonValue::UInt(event.wait));
-        if let Some(cause) = event.cause {
-            args = args.field("cause", JsonValue::str(cause));
-        }
-        let span = JsonObject::new()
-            .field("ph", JsonValue::str("X"))
-            .field("pid", JsonValue::UInt(PID_SIMULATE))
-            .field("tid", JsonValue::UInt(tid))
-            .field("ts", JsonValue::UInt(event.issue))
-            .field("dur", JsonValue::UInt(dur))
-            .field("cat", JsonValue::str("pipeline"))
-            .field("name", JsonValue::str(event.class))
-            .field("args", args.build())
-            .build();
-        self.emit(&span);
+        self.emit(|line| issue_span(line, event, tid));
     }
 
     fn block_replay(&mut self, event: &BlockReplayEvent) {
@@ -384,27 +424,7 @@ impl<W: Write> TraceSink for TimelineSink<W> {
         // entry cycle — entry cycles are nondecreasing, so the lane keeps
         // the validator's monotone-timestamp invariant.
         let tid = self.lanes.len() as u64 + 2;
-        let name = if event.hit { "replay" } else { "fallback" };
-        let marker = JsonObject::new()
-            .field("ph", JsonValue::str("i"))
-            .field("pid", JsonValue::UInt(PID_SIMULATE))
-            .field("tid", JsonValue::UInt(tid))
-            .field("ts", JsonValue::UInt(event.cycle))
-            .field("s", JsonValue::str("t"))
-            .field("name", JsonValue::str(name))
-            .field(
-                "args",
-                JsonObject::new()
-                    .field("func", JsonValue::UInt(u64::from(event.func)))
-                    .field("pc", JsonValue::UInt(event.pc))
-                    .field(
-                        "instructions",
-                        JsonValue::UInt(u64::from(event.instructions)),
-                    )
-                    .build(),
-            )
-            .build();
-        self.emit(&marker);
+        self.emit(|line| replay_marker(line, event, tid));
     }
 }
 

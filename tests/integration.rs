@@ -312,3 +312,43 @@ fn scheduling_for_wrong_machine_is_legal_just_slower() {
     let report = simulate(&program, &titan, SimOptions::default()).unwrap();
     assert!(report.base_cycles() > 0.0);
 }
+
+/// The timeline validator reads a multi-megabyte document in linear time:
+/// the smallest small-suite timeline (ccom on multititan, ~2.9 MB of
+/// trace_event JSON) is emitted the way `titalc profile --timeline` emits
+/// it and must validate, event for event, within the test run. A
+/// validator that rescans the rest of the input per character takes
+/// minutes on this document.
+#[test]
+fn smallest_suite_timeline_validates() {
+    use supersym::sim::simulate_with_sink;
+    use supersym::trace::{validate_timeline, TimelineSink};
+    use supersym::workloads::{suite, Size};
+
+    let machine = presets::multititan();
+    let source = suite(Size::Small)
+        .into_iter()
+        .find(|source| source.name == "ccom")
+        .expect("the small suite has ccom");
+    let program = compile(&source.source, &CompileOptions::new(OptLevel::O4, &machine))
+        .expect("suite programs compile");
+    let lanes = machine
+        .functional_units()
+        .iter()
+        .map(|unit| unit.name().to_string())
+        .collect();
+    let class_lane = InstrClass::ALL
+        .iter()
+        .map(|&class| (class.mnemonic().to_string(), machine.unit_of(class)))
+        .collect();
+    let mut sink = TimelineSink::new(Vec::new()).with_pipeline_lanes(lanes, class_lane);
+    let report = simulate_with_sink(&program, &machine, SimOptions::default(), &mut sink)
+        .expect("suite programs simulate");
+    let text =
+        String::from_utf8(sink.finish().expect("in-memory timeline")).expect("timelines are utf-8");
+    assert!(text.len() > 2_000_000, "document is {} bytes", text.len());
+
+    let validated = validate_timeline(&text).expect("emitted timeline validates");
+    // Every dynamic instruction is one span; counters and markers add more.
+    assert!(validated.events as u64 > report.instructions());
+}
